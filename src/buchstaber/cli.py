@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--polytopal", action="store_true", help="enable the chromatic bound")
     p.add_argument("--max-k", dest="max_k", type=int, default=SREAL_DEFAULT_MAX_K)
-    p.add_argument("--threads", type=int, default=1, help="search workers (0 = auto)")
+    p.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
     _add_output_flags(p)
 
     p = sub.add_parser("sreal", help="exact real invariant with witnesses")

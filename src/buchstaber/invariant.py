@@ -9,8 +9,6 @@ integers a list of length-m rows.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -38,37 +36,20 @@ def _check_ring(ring: str) -> None:
         raise ValueError(f"ring must be {GF2!r} or {INT!r}, got {ring!r}")
 
 
-def _worker_count(threads: int) -> int:
+def _check_threads(threads: int) -> None:
+    """Validate a worker count. The count is accepted for compatibility and
+    has no effect: every search runs in the calling thread."""
     if threads < 0:
         raise ValueError("thread count must be >= 0")
-    if threads == 0:
-        return os.cpu_count() or 1
-    return threads
 
 
-def _first_hit(n_branches: int, run: Callable[[int], object], workers: int):
-    """First (by branch index) non-None branch result.
-
-    Branches are explored by a worker pool, but selection is by canonical
-    branch order, so the outcome is independent of the worker count.
-    """
-    if workers <= 1 or n_branches <= 1:
-        for i in range(n_branches):
-            r = run(i)
-            if r is not None:
-                return r
-        return None
-    with ThreadPoolExecutor(max_workers=min(workers, n_branches)) as ex:
-        futures = [ex.submit(run, i) for i in range(n_branches)]
-        result = None
-        for i, fut in enumerate(futures):
-            r = fut.result()
-            if r is not None:
-                result = r
-                for later in futures[i + 1 :]:
-                    later.cancel()
-                break
-    return result
+def _first_hit(n_branches: int, run: Callable[[int], object]):
+    """First (by branch index) non-None branch result."""
+    for i in range(n_branches):
+        r = run(i)
+        if r is not None:
+            return r
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -285,21 +266,29 @@ def xi_witness_exists(K: SimplicialComplex, k: int) -> Optional[bool]:
     the matrix condition: one exists iff some k-dimensional subspace of
     Z_2^m consists (nonzero part) of vectors whose support contains a
     minimal non-face. Returns None when the subspace space is too large to
-    scan; never returns a wrong answer.
-
-    Enumeration visits each subspace once through its unique increasing
-    basis of coset minima, pruning as soon as a bad vector enters the span.
+    scan; never returns a wrong answer. `s_real` reads its witness off the
+    subspace found here (see _good_span).
     """
     if k == 0:
         return True
-    nonsimp = K.minimal_nonsimplices()
-    if not nonsimp:
+    if k > K.m or not K.minimal_nonsimplices():
         return False
-    m = K.m
-    if k > m:
-        return False
-    if _gaussian_binomial(m, k) > EXISTENCE_SCAN_LIMIT:
+    if _gaussian_binomial(K.m, k) > EXISTENCE_SCAN_LIMIT:
         return None
+    return _good_span(K, k) is not None
+
+
+def _good_span(K: SimplicialComplex, k: int) -> Optional[list[int]]:
+    """A k-dimensional subspace of Z_2^m whose nonzero vectors each contain
+    a minimal non-face, or None. Entry a of the returned list is the vector
+    M a, where column j of M is the j-th basis vector found.
+
+    Enumeration visits each subspace once through its unique increasing
+    basis of coset minima, pruning as soon as a bad vector enters the span.
+    The scan is exhaustive; callers bound it by EXISTENCE_SCAN_LIMIT.
+    """
+    nonsimp = K.minimal_nonsimplices()
+    m = K.m
     good_cache: dict[int, bool] = {}
 
     def good(x: int) -> bool:
@@ -328,7 +317,20 @@ def xi_witness_exists(K: SimplicialComplex, k: int) -> Optional[bool]:
                 del span[len(span) - len(coset):]
         return False
 
-    return extend(1, 0)
+    return span if extend(1, 0) else None
+
+
+def _xi_from_span(K: SimplicialComplex, span: Sequence[int], k: int) -> XiWitness:
+    """xi(a) = the first minimal non-face inside the support of M a.
+
+    Valid by construction: if a vertex x lay in every image of an odd
+    circuit, summing (M a)_x = 1 over the circuit would give (M 0)_x = 1.
+    """
+    nonsimp = K.minimal_nonsimplices()
+    return XiWitness(
+        k,
+        {a: next(w for w in nonsimp if w & ~span[a] == 0) for a in range(1, 1 << k)},
+    )
 
 
 def _xor_shuffle_masks(k: int) -> list[tuple[int, int]]:
@@ -361,13 +363,19 @@ def xi_search(
     Vectors are assigned in ascending mask order, candidate non-faces tried
     in canonical order, and a branch is cut when a fully assigned odd circuit
     has nonempty intersection (plus sound propagation that cannot change the
-    outcome). Returns the first witness in that order, or None. Raises
-    SearchBudgetExceeded after node_budget search nodes per first-level
-    branch; the budget is counted deterministically, so results never depend
-    on timing or worker count. Nonexistence is normally decided up front
-    through the subspace form of the matrix condition (use_existence_filter);
-    the backtracking itself settles the remaining cases.
+    outcome). Returns the first witness in that order (the canonical-first
+    witness), or None. Raises SearchBudgetExceeded after node_budget search
+    nodes per first-level branch; the budget is counted deterministically,
+    so results never depend on timing. Nonexistence is normally decided up
+    front through the subspace form of the matrix condition
+    (use_existence_filter); the backtracking itself settles the remaining
+    cases. `threads` is accepted and has no effect.
+
+    `s_real` and `analyze` do not report this witness where the subspace
+    scan decides: they read one off the subspace instead, and call this
+    search only above EXISTENCE_SCAN_LIMIT.
     """
+    _check_threads(threads)
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:
@@ -550,7 +558,7 @@ def xi_search(
             return {v: assign[v] for v in range(1, nvec + 1)}
         return None
 
-    hit = _first_hit(len(nonsimp), run_branch, _worker_count(threads))
+    hit = _first_hit(len(nonsimp), run_branch)
     if hit is None:
         return None
     if hit == BUDGET:
@@ -578,8 +586,10 @@ def matrix_search(K: SimplicialComplex, k: int, *, threads: int = 1) -> Optional
     """Exhaustive-scan oracle: first m x k GF(2) matrix passing verify_S.
 
     Matrices are ordered by their row tuples (first row most significant).
-    Intended for cross-validation at tiny sizes only.
+    Intended for cross-validation at tiny sizes only. `threads` is accepted
+    and has no effect.
     """
+    _check_threads(threads)
     m = K.m
     if k == 0:
         return [0] * m
@@ -621,7 +631,7 @@ def matrix_search(K: SimplicialComplex, k: int, *, threads: int = 1) -> Optional
                 return list(rows)
         return None
 
-    return _first_hit(space, run_branch, _worker_count(threads))
+    return _first_hit(space, run_branch)
 
 
 # ---------------------------------------------------------------------------
@@ -653,19 +663,33 @@ def s_real(
 ) -> SRealResult:
     """Largest k admitting a xi mapping, climbing k = 1, 2, ... and stopping
     at the first failure, the upper bound m - dim - 1, or a resource guard
-    (k cap or per-search node budget); a guarded stop yields an interval."""
+    (k cap or node budget); a guarded stop yields an interval.
+
+    Each rank is decided by the subspace scan of xi_witness_exists, and the
+    witness is read off the subspace it finds, so it is in general not the
+    canonical-first witness of xi_search. Only where [m choose k]_2 exceeds
+    EXISTENCE_SCAN_LIMIT does the climb fall back to the backtracking
+    xi_search, and node_budget governs that fallback alone. `threads` is
+    accepted and has no effect.
+    """
+    _check_threads(threads)
     ub = K.m - K.dimension - 1
     cap = min(ub, max(0, max_k))
     best: Optional[XiWitness] = None
     value = 0
     for k in range(1, cap + 1):
-        try:
-            w = xi_search(
-                K, k, allow_large=True, threads=threads, node_budget=node_budget
-            )
-        except SearchBudgetExceeded:
-            mat = xi_to_matrix(K, best) if best else None
-            return SRealResult(value, ub, False, best, mat)
+        if _gaussian_binomial(K.m, k) <= EXISTENCE_SCAN_LIMIT:
+            span = _good_span(K, k)
+            w = None if span is None else _xi_from_span(K, span, k)
+        else:
+            try:
+                w = xi_search(
+                    K, k, allow_large=True, node_budget=node_budget,
+                    use_existence_filter=False,
+                )
+            except SearchBudgetExceeded:
+                mat = xi_to_matrix(K, best) if best else None
+                return SRealResult(value, ub, False, best, mat)
         if w is None:
             mat = xi_to_matrix(K, best) if best else None
             return SRealResult(value, value, True, best, mat)
@@ -765,13 +789,20 @@ def check_criteria(K: SimplicialComplex) -> tuple[int, Optional[CriterionWitness
     triple with empty common intersection; level 3 one of the five listed
     configurations (scanned pairs-then-triples, then ascending tuple size).
     """
-    nonsimp = K.minimal_nonsimplices()
+    return _criteria(K.minimal_nonsimplices(), level3=True)
+
+
+def _criteria(
+    nonsimp: Sequence[int], *, level3: bool
+) -> tuple[int, Optional[CriterionWitness]]:
+    """check_criteria on a non-face list; level3=False skips the level-3
+    scan, which is only sound when that scan is known to fail."""
     if not nonsimp:
         return 0, None
     s2 = _find_s2(nonsimp)
     if s2 is None:
         return 1, CriterionWitness(1, 1, (nonsimp[0],))
-    s3 = _find_s3(nonsimp)
+    s3 = _find_s3(nonsimp) if level3 else None
     if s3 is not None:
         return 3, s3
     return 2, s2
@@ -980,13 +1011,18 @@ def analyze(
     node_budget: int = XI_DEFAULT_NODE_BUDGET,
 ) -> InvariantReport:
     """Full report: bounds, criteria level, exact values where determined,
-    and the witnesses backing them."""
+    and the witnesses backing them. `threads` is accepted and has no
+    effect."""
+    _check_threads(threads)
     nonsimp = K.minimal_nonsimplices()
     dim = K.dimension
     ub = K.m - dim - 1
-    level, crit_w = check_criteria(K)
+    sr = s_real(K, max_k=max_k, node_budget=node_budget)
+    # every level-3 configuration gives a rank-3 xi mapping (case 1 lists
+    # the lines of the Fano plane, the odd circuits of Z_2^3), so once the
+    # climb has refuted rank 3 the level-3 scan can only fail: skip it
+    level, crit_w = _criteria(nonsimp, level3=not (sr.exact and sr.lower < 3))
     cover = cover_lower_bound(K)
-    sr = s_real(K, max_k=max_k, threads=threads, node_budget=node_budget)
     warnings: list[str] = []
     ghosts = tuple(K.ghost_vertices())
     if ghosts:
@@ -1054,10 +1090,12 @@ def analyze(
 
 def oracle_check(K: SimplicialComplex, k: int, *, threads: int = 1) -> dict:
     """Side-by-side xi search, matrix-scan oracle (when tractable) and the
-    level criteria at rank k, with an agreement verdict."""
-    xi = xi_search(K, k, allow_large=True, threads=threads) is not None
+    level criteria at rank k, with an agreement verdict. `threads` is
+    accepted and has no effect."""
+    _check_threads(threads)
+    xi = xi_search(K, k, allow_large=True) is not None
     if K.m * k <= MATRIX_SCAN_BIT_LIMIT:
-        mat = matrix_search(K, k, threads=threads) is not None
+        mat = matrix_search(K, k) is not None
     else:
         mat = None
     crit = check_criteria(K)[0] >= k if k <= 3 else None

@@ -240,6 +240,14 @@ def test_cli_error_exit_codes(tmp_path):
     assert main(["gen", "join", "onlyone"]) == 1
 
 
+def test_cli_negative_threads_rejected(tmp_path, capsys):
+    sq = tmp_path / "sq.cplx"
+    main(["gen", "cycle", "4", "-o", str(sq)])
+    for verb in ("analyze", "sreal", "oracle"):
+        assert main([verb, str(sq), "--threads", "-1"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_stdout_output(capsys):
     assert main(["lemma23"]) == 0
     out = capsys.readouterr().out
