@@ -213,8 +213,7 @@ class SimplicialComplex:
 
     def automorphisms(self, limit: int = 256) -> tuple[tuple[int, ...], ...]:
         """Up to `limit` vertex permutations preserving the facet family,
-        identity first; cached. The search layers use them to merge
-        relabeled states, so a truncated list is still sound."""
+        identity first; cached. No search in this package uses them."""
         if self._auts is None:
             fset = set(self.facets)
             m = self.m

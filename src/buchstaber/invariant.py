@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import comb
 from typing import Callable, Optional, Sequence
 
 from . import gf2, zlattice
@@ -239,14 +240,6 @@ def validate_xi(K: SimplicialComplex, w: XiWitness) -> bool:
     return True
 
 
-def _swap_bits(mask: int, i: int, j: int) -> int:
-    bi = mask >> i & 1
-    bj = mask >> j & 1
-    if bi != bj:
-        mask ^= (1 << i) | (1 << j)
-    return mask
-
-
 def _gaussian_binomial(m: int, k: int) -> int:
     """Number of k-dimensional subspaces of Z_2^m."""
     if k < 0 or k > m:
@@ -364,12 +357,13 @@ def xi_search(
     in canonical order, and a branch is cut when a fully assigned odd circuit
     has nonempty intersection (plus sound propagation that cannot change the
     outcome). Returns the first witness in that order (the canonical-first
-    witness), or None. Raises SearchBudgetExceeded after node_budget search
-    nodes per first-level branch; the budget is counted deterministically,
-    so results never depend on timing. Nonexistence is normally decided up
-    front through the subspace form of the matrix condition
-    (use_existence_filter); the backtracking itself settles the remaining
-    cases. `threads` is accepted and has no effect.
+    witness), or None. Raises SearchBudgetExceeded once the whole call has
+    visited more than node_budget search nodes; the budget is counted
+    deterministically, so results never depend on timing, and the nodes
+    visited are added to `stats["nodes"]`, also on a budget trip.
+    Nonexistence is normally decided up front through the subspace form of
+    the matrix condition (use_existence_filter); the backtracking itself
+    settles the remaining cases. `threads` is accepted and has no effect.
 
     `s_real` and `analyze` do not report this witness where the subspace
     scan decides: they read one off the subspace instead, and call this
@@ -404,17 +398,14 @@ def xi_search(
     # candidate is one AND against forbid[v] = {x : v forced to 0 at x},
     # and every future vector gets full one-step lookahead.
     butterflies = _xor_shuffle_masks(k)
-    # failure of a search state is invariant under complex automorphisms, so
-    # memo states are canonicalized per orbit: a full sort when every vertex
-    # permutation preserves the non-faces (adjacent transpositions generate
-    # S_m), otherwise the minimum over a bounded automorphism sample
-    ns_set = set(nonsimp)
-    symmetric = all(
-        {_swap_bits(w, i, i + 1) for w in ns_set} == ns_set for i in range(m - 1)
+    # failure of a search state is invariant under vertex permutations that
+    # preserve the non-faces. When every permutation does, memo keys are the
+    # sorted per-vertex closure masks; otherwise they are the raw masks. An
+    # antichain is S_m-invariant exactly when it is one complete layer.
+    t = nonsimp[0].bit_count()
+    symmetric = len(nonsimp) == comb(m, t) and all(
+        w.bit_count() == t for w in nonsimp
     )
-    auts = () if symmetric else K.automorphisms()[:64]
-    if len(auts) <= 1:
-        auts = ()
     # candidate domain summary per forbidden-vertex mask: (0, None) dead,
     # (1, om) forced, (2, None) still open
     domain_cache: dict[int, tuple[int, Optional[int]]] = {}
@@ -437,6 +428,7 @@ def xi_search(
         return r
 
     BUDGET = "budget"
+    nodes = 0
 
     def run_branch(ci: int):
         span = [1] * m   # bit s: vector s lies in the span at this vertex
@@ -448,7 +440,6 @@ def xi_search(
         # be cut on re-entry
         failed: set[tuple[int, ...]] = set()
         trail: list[tuple] = []  # ('c', x, span, zero, add_zero) | ('a', v)
-        nodes = 0
 
         def shuffle(mask: int, v: int) -> int:
             for b in range(k):
@@ -524,8 +515,6 @@ def xi_search(
             parts = [sp << (nvec + 1) | zr for sp, zr in zip(span, zero)]
             if symmetric:
                 parts.sort()
-            elif auts:
-                parts = min(tuple(parts[x] for x in perm) for perm in auts)
             key = (v, *parts)
             if key in failed:
                 return False
@@ -550,8 +539,6 @@ def xi_search(
         if not place(1, nonsimp[ci]):
             return None
         sub = True if nvec == 1 else dfs(2)
-        if stats is not None:
-            stats["nodes"] = stats.get("nodes", 0) + nodes
         if sub is None:
             return BUDGET
         if sub:
@@ -559,11 +546,13 @@ def xi_search(
         return None
 
     hit = _first_hit(len(nonsimp), run_branch)
+    if stats is not None:
+        stats["nodes"] = stats.get("nodes", 0) + nodes
     if hit is None:
         return None
     if hit == BUDGET:
         raise SearchBudgetExceeded(
-            f"xi search at k={k} exceeded {node_budget} nodes in one branch"
+            f"xi search at k={k} exceeded {node_budget} nodes in one call"
         )
     return XiWitness(k, hit)
 

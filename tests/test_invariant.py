@@ -9,6 +9,7 @@ from buchstaber.generators import (
     complete_graph,
     cycle,
     cyclic_polytope_boundary,
+    join,
     points,
     random_complex,
     simplex,
@@ -135,6 +136,29 @@ def test_xi_search_budget_guard():
         xi_search(complete_graph(6), 4, node_budget=50, use_existence_filter=False)
 
 
+def test_xi_search_budget_bounds_the_whole_call():
+    # each first-level branch of this refutation stays below 2000 nodes, but
+    # together they visit several thousand: the budget covers the whole call
+    stats: dict = {}
+    with pytest.raises(SearchBudgetExceeded, match="in one call"):
+        xi_search(
+            cyclic_polytope_boundary(7, 10), 3, allow_large=True,
+            use_existence_filter=False, node_budget=2000, stats=stats,
+        )
+    assert stats["nodes"] <= 2001
+
+
+def test_xi_search_sorts_memo_keys_for_a_full_layer():
+    # the non-faces of K_12 are all 3-subsets, so every vertex permutation
+    # preserves them and sorted memo keys merge relabelled states; with raw
+    # keys this search needs about 4 000 nodes
+    w = xi_search(
+        complete_graph(12), 5, allow_large=True, use_existence_filter=False,
+        node_budget=1000,
+    )
+    assert w is not None and validate_xi(complete_graph(12), w)
+
+
 def test_xi_existence_filter_matches_search():
     from buchstaber.invariant import xi_witness_exists
 
@@ -195,7 +219,7 @@ def test_xi_matches_naive_backtracking():
         for k in (1, 2, 3):
             got = xi_search(K, k)
             assert (got.assignment if got else None) == xi_naive(K, k)
-    # highly symmetric instances drive the canonicalized-memo code paths
+    # non-faces forming one complete layer drive the sorted memo keys
     for K in (points(4), points(5), complete_graph(4), complete_graph(5)):
         for k in (2, 3):
             got = xi_search(K, k)
@@ -622,6 +646,21 @@ def test_octahedron_cross_check():
     assert rep.criteria_level == 3 and rep.criterion_witness.case == 5
     assert rep.chromatic_bound == 3
     assert rep.upper_bound == 3
+
+
+def test_symmetric_polytopes_finish_at_max_k_3():
+    # large, highly symmetric polytopes whose non-faces are not one full
+    # layer; each analysis takes well under a second
+    cases = [
+        (join(join(cycle(5), cycle(5)), cycle(5)), (6, 9)),
+        (join(cycle(7), cycle(7)), (8, 10)),
+        (cyclic_polytope_boundary(8, 14), (3, 6)),
+    ]
+    for K, (lo, hi) in cases:
+        rep = analyze(K, polytopal=True, max_k=3)
+        assert (rep.s_lower, rep.s_upper) == (lo, hi)
+        assert (rep.s_real_lower, rep.s_real_upper) == (lo, hi)
+        assert rep.criteria_level == 3
 
 
 def test_cycle_family_closed_form():
