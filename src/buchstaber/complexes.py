@@ -12,10 +12,12 @@ from typing import Iterable, Iterator
 
 MAX_VERTICES = 64
 
-# Crossover between the two minimal-non-face algorithms: below this the full
-# ascending-cardinality subset scan is cheap, above it the transversal
-# computation wins by orders of magnitude.
-SCAN_VERTEX_LIMIT = 10
+# Largest m at which minimal_nonsimplices() takes the subset scan: none. The
+# transversal computation was faster on every complex measured, from m = 5
+# up, so N(K) always comes from it; minimal_nonsimplices_by_scan stays as the
+# independent check the tests compare against. The name is kept because code
+# outside the package reads it.
+SCAN_VERTEX_LIMIT = 0
 
 
 def face_mask(vertices: Iterable[int], m: int) -> int:
@@ -77,17 +79,25 @@ def minimal_transversals(sets: Iterable[int], m: int) -> list[int]:
             reduced.append(s)
     trans = [0]
     for s in reduced:
-        hit = []
+        new = []  # the transversals that already hit s stay minimal
         miss = []
+        # those that hit s in a single vertex, keyed by that vertex's bit
+        single: dict[int, list[int]] = {}
         for t in trans:
-            (hit if t & s else miss).append(t)
-        new = hit[:]
+            x = t & s
+            if not x:
+                miss.append(t)
+                continue
+            new.append(t)
+            if x & (x - 1) == 0:
+                single.setdefault(x, []).append(t)
         for t in miss:
             for bit in iter_bits(s):
                 cand = t | bit
-                # cand is non-minimal iff it contains a transversal that
-                # already hits s; candidates from distinct t are incomparable.
-                if not any(u & ~cand == 0 for u in hit):
+                # cand is non-minimal iff it contains a transversal u that
+                # already hits s; as t misses s, u & s must then be exactly
+                # bit. Candidates from distinct t are incomparable.
+                if not any(u & ~cand == 0 for u in single.get(bit, ())):
                     new.append(cand)
         trans = new
     return sorted(trans)
@@ -173,11 +183,7 @@ class SimplicialComplex:
     def minimal_nonsimplices(self) -> tuple[int, ...]:
         """The antichain of minimal non-faces, canonically ordered; cached."""
         if self._nonsimplices is None:
-            if self.m <= SCAN_VERTEX_LIMIT:
-                ns = minimal_nonsimplices_by_scan(self)
-            else:
-                ns = minimal_nonsimplices_by_transversal(self)
-            self._nonsimplices = tuple(ns)
+            self._nonsimplices = tuple(minimal_nonsimplices_by_transversal(self))
         return self._nonsimplices
 
     def is_flag(self) -> bool:

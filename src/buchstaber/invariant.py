@@ -714,6 +714,22 @@ S3_CONFIGURATIONS: tuple[tuple[int, int, tuple[tuple[int, ...], ...]], ...] = (
     (1, 7, ((1, 2, 4), (1, 3, 5), (1, 6, 7), (2, 3, 6), (2, 5, 7), (3, 4, 7), (4, 5, 6))),
 )
 
+# Per case, pairs (i, j) of slots such that some permutation of the slots
+# that maps the case's constraints onto themselves fixes slots 1..i-1 and
+# sends slot i to slot j. It turns a match into another match that agrees
+# before slot i and has slot j's non-face in slot i, so the lexicographically
+# first match has a lower index in slot i than in slot j. Demanding that
+# order therefore loses no first match; it cuts the symmetric copies of
+# every partial tuple out of the level-3 scan.
+S3_SLOT_ORDER: dict[int, tuple[tuple[int, int], ...]] = {
+    5: ((1, 2), (1, 3), (2, 3)),
+    4: ((2, 3), (2, 4), (3, 4)),
+    3: ((2, 5), (3, 4)),
+    2: ((2, 4), (2, 5), (2, 6), (4, 5)),
+    1: ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7),
+        (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 5), (3, 6), (3, 7)),
+}
+
 
 def _find_s2(nonsimp: Sequence[int]) -> Optional[CriterionWitness]:
     n = len(nonsimp)
@@ -731,42 +747,83 @@ def _find_s2(nonsimp: Sequence[int]) -> Optional[CriterionWitness]:
 
 
 def _find_s3(nonsimp: Sequence[int]) -> Optional[CriterionWitness]:
+    """First level-3 configuration: configurations in S3_CONFIGURATIONS
+    order, then the lexicographically first ordered tuple of distinct
+    non-face indices satisfying its constraints.
+
+    Each open slot keeps its candidate indices as a bitset. Filling a slot
+    removes, from every later slot it precedes in S3_SLOT_ORDER, the indices
+    up to its own, and from the last slot of every constraint whose other
+    slots are now all filled, the non-faces meeting their intersection:
+    those disjoint from it are the AND of the per-vertex bitsets `missing`
+    over its vertices. A branch is cut as soon as such a constraint leaves
+    its last slot no unused candidate. Candidates are tried lowest index
+    first, and every cut removes only tuples that fail a constraint or the
+    slot order, so the search returns the same first tuple as a plain scan
+    over all ordered tuples.
+    """
     n = len(nonsimp)
+    everything = (1 << n) - 1
+    m = max(nonsimp, default=0).bit_length()
+    missing = [0] * m  # bit i of missing[v]: non-face i avoids vertex v
+    for idx, w in enumerate(nonsimp):
+        for v in range(m):
+            if not w >> v & 1:
+                missing[v] |= 1 << idx
+    disjoint_cache: dict[int, int] = {}
+
+    def disjoint_from(mask: int) -> int:
+        r = disjoint_cache.get(mask)
+        if r is None:
+            r = everything
+            rest = mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                r &= missing[low.bit_length() - 1]
+            disjoint_cache[mask] = r
+        return r
+
     for case, size, constraints in S3_CONFIGURATIONS:
         if n < size:
             continue
-        by_depth: list[list[tuple[int, ...]]] = [[] for _ in range(size + 1)]
+        # per 0-based slot: the later slots it precedes, and the constraints
+        # (last slot, other slots) whose other slots it completes
+        later: list[list[int]] = [[] for _ in range(size)]
+        for i, j in S3_SLOT_ORDER[case]:
+            later[i - 1].append(j - 1)
+        completes: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(size)]
         for cons in constraints:
-            by_depth[max(cons)].append(cons)
-        chosen: list[int] = []
-        used = [False] * n
+            last = max(cons)
+            others = tuple(p - 1 for p in cons if p != last)
+            completes[max(others)].append((last - 1, others))
+        chosen = [0] * size
 
-        def place(depth: int) -> bool:
-            if depth > size:
-                return True
-            for idx in range(n):
-                if used[idx]:
-                    continue
-                chosen.append(nonsimp[idx])
-                ok = True
-                for cons in by_depth[depth]:
-                    inter = chosen[cons[0] - 1]
-                    for pos in cons[1:]:
-                        inter &= chosen[pos - 1]
-                        if not inter:
-                            break
-                    if inter:
-                        ok = False
+        def place(slot: int, used: int, domains: list[int]) -> bool:
+            cand = domains[slot] & ~used
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                chosen[slot] = nonsimp[low.bit_length() - 1]
+                if slot + 1 == size:
+                    return True
+                now = used | low
+                nxt = list(domains)
+                for j in later[slot]:
+                    nxt[j] &= -(low << 1)  # the indices above this one
+                for j, others in completes[slot]:
+                    inter = chosen[others[0]]
+                    for p in others[1:]:
+                        inter &= chosen[p]
+                    nxt[j] &= disjoint_from(inter)
+                    if not nxt[j] & ~now:
                         break
-                if ok:
-                    used[idx] = True
-                    if place(depth + 1):
+                else:
+                    if place(slot + 1, now, nxt):
                         return True
-                    used[idx] = False
-                chosen.pop()
             return False
 
-        if place(1):
+        if place(0, 0, [everything] * size):
             return CriterionWitness(3, case, tuple(chosen))
     return None
 
@@ -813,23 +870,23 @@ class CoverBound:
 
 
 def _greedy_cover(nonsimp: Sequence[int], m: int) -> list[int]:
+    """Indices picked, in order, by repeatedly taking the non-face with the
+    least cost |w| - 1 per newly covered vertex; ratios are compared by
+    cross-multiplication, and equal ratios go to the lower index. A picked
+    non-face covers no new vertex, so it is never a candidate again."""
     full = full_mask(m)
     covered = 0
     picked: list[int] = []
     while covered != full:
         best_idx = -1
-        best_key = None
+        best_cost, best_new = 0, 0
         for idx, w in enumerate(nonsimp):
-            if idx in picked:
-                continue
             new = (w & ~covered).bit_count()
             if new == 0:
                 continue
             cost = w.bit_count() - 1
-            key = (cost / new, idx)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_idx = idx
+            if best_idx < 0 or cost * best_new < best_cost * new:
+                best_idx, best_cost, best_new = idx, cost, new
         picked.append(best_idx)
         covered |= nonsimp[best_idx]
     return picked

@@ -3,8 +3,9 @@
 The random corpus is fully seed-determined: LCG-driven generation over
 5 <= m <= 8 with denser edge probabilities at larger m and every third
 instance carrying an extra glued face, keeping only complexes with at most
-12 minimal non-faces (the level-3 configuration scan grows steeply in that
-count, which is why the corpus is biased toward small non-face families).
+12 minimal non-faces. No search needs that cap any more; it is kept so that
+the corpus stays the one the acceptance tests and the benchmark's
+sweep-small workload are built on.
 """
 
 from itertools import combinations

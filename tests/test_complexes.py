@@ -200,7 +200,8 @@ def test_nonsimplices_antichain_and_membership():
 
 
 def test_scan_vs_transversal_cross_check():
-    # both algorithms agree through m = 12, spanning the default crossover
+    # both algorithms agree through m = 12; the scan is the independent
+    # check on the transversal path that minimal_nonsimplices() always takes
     for K in _random_corpus() + [_twelve_vertex_complex()]:
         assert minimal_nonsimplices_by_scan(K) == minimal_nonsimplices_by_transversal(K)
 

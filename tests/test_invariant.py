@@ -1,6 +1,10 @@
 """Freeness conditions, xi search, exact values, criteria, and bounds."""
 
+from itertools import permutations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from buchstaber import gf2, zlattice
 from buchstaber.complexes import SimplicialComplex, face_mask, face_vertices
@@ -13,10 +17,16 @@ from buchstaber.generators import (
     points,
     random_complex,
     simplex,
+    skeleton,
 )
 from buchstaber.invariant import (
+    S3_CONFIGURATIONS,
+    S3_SLOT_ORDER,
+    CriterionWitness,
     SearchBudgetExceeded,
     XiWitness,
+    _find_s3,
+    _greedy_cover,
     analyze,
     ayzenberg_s,
     check_criteria,
@@ -361,23 +371,170 @@ def test_criteria_s2_triple_case():
         assert w.case == 1 and len(w.sets) == 3
 
 
+# The level-3 configurations in scan order: case -> empty-intersection
+# constraints on 1-based slots. Written out here so the oracle below does
+# not read the table it checks.
+LEVEL3_CASES = {
+    5: ((1, 2), (1, 3), (2, 3)),
+    4: ((1, 2), (1, 3), (1, 4), (2, 3, 4)),
+    3: ((1, 2), (1, 5), (1, 3, 4), (2, 3, 5), (2, 4, 5)),
+    2: ((1, 3), (1, 2, 4), (1, 2, 5), (1, 4, 6), (1, 5, 6), (2, 3, 6), (3, 4, 5)),
+    1: ((1, 2, 4), (1, 3, 5), (1, 6, 7), (2, 3, 6), (2, 5, 7), (3, 4, 7), (4, 5, 6)),
+}
+
+
+def satisfies_its_case(w):
+    for cons in LEVEL3_CASES[w.case]:
+        inter = w.sets[cons[0] - 1]
+        for pos in cons[1:]:
+            inter &= w.sets[pos - 1]
+        if inter:
+            return False
+    return len(w.sets) == max(max(c) for c in LEVEL3_CASES[w.case])
+
+
+def naive_find_s3(nonsimp):
+    """Reference level-3 scan: every ordered tuple of distinct non-faces,
+    lowest indices first, each constraint tested once its last slot is
+    filled; the first match of the first case that has one."""
+    n = len(nonsimp)
+    for case, constraints in LEVEL3_CASES.items():
+        size = max(max(c) for c in constraints)
+        if n < size:
+            continue
+        by_depth = [[] for _ in range(size + 1)]
+        for cons in constraints:
+            by_depth[max(cons)].append(cons)
+        chosen = []
+        used = [False] * n
+
+        def place(depth):
+            if depth > size:
+                return True
+            for idx in range(n):
+                if used[idx]:
+                    continue
+                chosen.append(nonsimp[idx])
+                ok = True
+                for cons in by_depth[depth]:
+                    inter = chosen[cons[0] - 1]
+                    for pos in cons[1:]:
+                        inter &= chosen[pos - 1]
+                    if inter:
+                        ok = False
+                        break
+                if ok:
+                    used[idx] = True
+                    if place(depth + 1):
+                        return True
+                    used[idx] = False
+                chosen.pop()
+            return False
+
+        if place(1):
+            return CriterionWitness(3, case, tuple(chosen))
+    return None
+
+
 def test_criteria_matched_sets_satisfy_their_equations():
-    cases = {
-        5: ((1, 2), (1, 3), (2, 3)),
-        4: ((1, 2), (1, 3), (1, 4), (2, 3, 4)),
-        3: ((1, 2), (1, 5), (1, 3, 4), (2, 3, 5), (2, 4, 5)),
-        2: ((1, 3), (1, 2, 4), (1, 2, 5), (1, 4, 6), (1, 5, 6), (2, 3, 6), (3, 4, 5)),
-        1: ((1, 2, 4), (1, 3, 5), (1, 6, 7), (2, 3, 6), (2, 5, 7), (3, 4, 7), (4, 5, 6)),
-    }
     for seed in range(30):
         K = random_complex(5 + seed % 4, 6600 + seed, 1, 2, seed % 3)
         lvl, w = check_criteria(K)
         if lvl == 3:
-            for cons in cases[w.case]:
-                inter = w.sets[cons[0] - 1]
-                for pos in cons[1:]:
-                    inter &= w.sets[pos - 1]
-                assert inter == 0
+            assert satisfies_its_case(w)
+
+
+def test_level3_table_matches_the_reference_cases():
+    assert [(case, size) for case, size, _ in S3_CONFIGURATIONS] == [
+        (case, max(max(c) for c in cons)) for case, cons in LEVEL3_CASES.items()
+    ]
+    assert all(cons == LEVEL3_CASES[case] for case, _, cons in S3_CONFIGURATIONS)
+
+
+def test_s3_slot_order_follows_from_the_configuration_symmetries():
+    # (i, j) is listed iff some slot permutation preserving the constraints
+    # fixes slots 1..i-1 and sends slot i to slot j
+    for case, size, constraints in S3_CONFIGURATIONS:
+        family = {frozenset(c) for c in constraints}
+        pairs = set()
+        for perm in permutations(range(1, size + 1)):
+            if {frozenset(perm[p - 1] for p in c) for c in family} != family:
+                continue
+            moved = [p for p in range(1, size + 1) if perm[p - 1] != p]
+            if moved:
+                pairs.add((moved[0], perm[moved[0] - 1]))
+        assert sorted(pairs) == list(S3_SLOT_ORDER[case]), case
+
+
+def test_level3_scan_matches_naive_scan_on_corpora(
+    random_corpus, census_complexes, named_corpus
+):
+    for K in random_corpus + census_complexes + named_corpus:
+        ns = K.minimal_nonsimplices()
+        assert _find_s3(ns) == naive_find_s3(ns), K
+
+
+def test_level3_scan_matches_naive_scan_on_polytopes_and_skeleta():
+    family = [
+        cyclic_polytope_boundary(d, n) for n in range(4, 11) for d in range(2, n - 1)
+    ]
+    family += [cyclic_polytope_boundary(8, 11)]
+    family += [skeleton(n, k) for n in range(2, 7) for k in range(n)]
+    # one non-face per point of the Fano plane: the set of lines avoiding
+    # it. Any two meet and only the lines empty a triple, so only case 1 fits
+    fano = LEVEL3_CASES[1]
+    avoiding = [
+        sum(1 << i for i, line in enumerate(fano) if p not in line) for p in range(1, 8)
+    ]
+    family += [
+        SimplicialComplex.from_min_nonsimplex_masks(7, avoiding),
+        join(cycle(5), cycle(5)),
+        join(join(boundary_simplex(2), boundary_simplex(2)), boundary_simplex(3)),
+        join(cycle(6), boundary_simplex(3)),
+    ]
+    found = set()
+    for K in family:
+        ns = K.minimal_nonsimplices()
+        w = _find_s3(ns)
+        assert w == naive_find_s3(ns), K
+        found.add(w and w.case)
+    assert found == {None, 1, 2, 3, 4, 5}
+
+
+@st.composite
+def antichains(draw):
+    """The minimal members of up to 20 random subsets of m <= 9 vertices.
+    The subsets have 2 to 4 vertices, so that many of them survive."""
+    m = draw(st.integers(2, 9))
+    vertex_sets = st.frozensets(st.integers(0, m - 1), min_size=2, max_size=min(m, 4))
+    count = draw(st.integers(1, 20))
+    sets = {
+        sum(1 << v for v in vs)
+        for vs in draw(st.lists(vertex_sets, min_size=count, max_size=count))
+    }
+    return sorted(w for w in sets if not any(u != w and u & ~w == 0 for u in sets))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(antichains())
+def test_level3_scan_matches_naive_scan_on_antichains(ns):
+    w = _find_s3(ns)
+    assert w == naive_find_s3(ns)
+    assert w is None or satisfies_its_case(w)
+
+
+def test_level3_scan_closes_the_skeleton_cliff():
+    # the 3-skeleton of the 11-simplex: |N| = 792; the plain ordered-tuple
+    # scan did not finish within 15 s
+    lvl, w = check_criteria(skeleton(11, 3))
+    assert lvl == 3 and satisfies_its_case(w)
+
+
+def test_analyze_cyclic_11_16_at_max_k_3():
+    rep = analyze(cyclic_polytope_boundary(11, 16), polytopal=True, max_k=3)
+    assert rep.criteria_level == 3
+    assert satisfies_its_case(rep.criterion_witness)
+    assert (rep.s_lower, rep.s_upper) == (3, 5)
 
 
 def test_criteria_s3_case4_configuration():
@@ -504,6 +661,21 @@ def test_cover_greedy_fallback():
     cb = cover_lower_bound(cycle(4), guard=1)
     assert cb.heuristic and cb.coverable
     assert cb.value <= 2
+
+
+def test_greedy_cover_breaks_equal_ratios_by_index():
+    def masks(*sets):
+        return [face_mask(s, 4) for s in sets]
+
+    # first pick: cost/new 1/2 beats 2/3, and {1,2} is the lowest index at
+    # 1/2. Second pick: {2,3} (1/1), {1,3,4} (2/2) and {2,4} (1/1) tie, so
+    # the lowest index wins, whichever of them comes first.
+    assert _greedy_cover(masks([1, 2], [2, 3], [1, 3, 4], [2, 4]), 4) == [0, 1, 3]
+    assert _greedy_cover(masks([1, 2], [1, 3, 4], [2, 3], [2, 4]), 4) == [0, 1]
+    # the ratio, not the raw cost, decides: after {5,6}, {1,2,3} at 2/3
+    # comes before {4,5} at 1/1
+    sets = [face_mask(s, 6) for s in ([5, 6], [4, 5], [1, 2, 3])]
+    assert _greedy_cover(sets, 6) == [0, 2, 1]
 
 
 def test_chromatic_number():

@@ -1,9 +1,14 @@
-"""Property tests: the answers do not depend on how the vertices are labelled."""
+"""Property tests: the answers do not depend on how the vertices are labelled,
+and the two minimal non-face algorithms agree."""
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from buchstaber.complexes import SimplicialComplex
+from buchstaber.complexes import (
+    SimplicialComplex,
+    minimal_nonsimplices_by_scan,
+    minimal_nonsimplices_by_transversal,
+)
 from buchstaber.generators import skeleton
 from buchstaber.invariant import (
     COVER_SEARCH_GUARD,
@@ -57,3 +62,19 @@ def test_relabelling_preserves_answers(data):
     K = data.draw(complexes())
     perm = data.draw(st.permutations(range(K.m)))
     assert answers(relabel(K, perm)) == answers(K)
+
+
+@st.composite
+def facet_families(draw):
+    m = draw(st.integers(1, 10))
+    facets = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=12))
+    return SimplicialComplex(m, facets)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(facet_families())
+def test_scan_and_transversals_agree(K):
+    ns = minimal_nonsimplices_by_scan(K)
+    assert ns == minimal_nonsimplices_by_transversal(K)
+    assert list(K.minimal_nonsimplices()) == ns
+    assert SimplicialComplex.from_min_nonsimplex_masks(K.m, ns) == K
