@@ -122,10 +122,16 @@ class SimplicialComplex:
         for f in raw:
             if f & ~fm:
                 raise ValueError(f"facet {face_vertices(f)} references a vertex above m={m}")
-        kept = []
+        # Only a strictly larger facet can contain f, and containment is
+        # transitive, so each size is tested against the maximal ones above.
+        by_size: dict[int, list[int]] = {}
         for f in raw:
-            if not any(f != g and f & ~g == 0 for g in raw):
-                kept.append(f)
+            by_size.setdefault(f.bit_count(), []).append(f)
+        kept: list[int] = []
+        for size in sorted(by_size, reverse=True):
+            larger = tuple(kept)
+            kept.extend(f for f in by_size[size] if not any(f & ~g == 0 for g in larger))
+        kept.sort()
         if not kept:
             kept = [0]
         self.facets = tuple(kept)

@@ -131,19 +131,22 @@ def _prime_factors(n: int) -> set[int]:
 def condition_prime_set(K: SimplicialComplex, rows: Sequence[Sequence[int]], k: int) -> list[int]:
     """Primes that can witness a spanning failure of some outside-row matrix.
 
-    For any other prime the reduction of each outside-row set already spans,
-    so the non-face condition cannot fail there: primes dividing a nonzero
-    invariant factor, plus 2 whenever a factor is zero (rank deficiency).
+    For a facet whose outside rows have full rank k, these are the primes
+    dividing the index of their lattice in Z^k, read off the elimination
+    pivots (whose product is that index); for any other prime the reduction
+    mod p already spans, so the non-face condition cannot fail there. A
+    facet of deficient rank adds 2 only: its rows fail to span mod every
+    prime, and 2 is the first one verify_nonsimplex_condition checks.
     """
     primes: set[int] = set()
     for sigma in K.facets:
         outside = [rows[i] for i in range(K.m) if not sigma >> i & 1]
-        factors = zlattice.smith_invariant_factors(outside) if outside else []
-        factors = list(factors) + [0] * (k - len(factors))
-        for d in factors:
-            if d == 0:
-                primes.add(2)
-            elif d > 1:
+        pivots, _ = zlattice._eliminate(outside, k)
+        if pivots is None:
+            primes.add(2)
+            continue
+        for d in pivots:
+            if d > 1:
                 primes |= _prime_factors(d)
     return sorted(primes)
 
@@ -191,9 +194,9 @@ def verify_nonsimplex_condition(K: SimplicialComplex, rows: Sequence, k: int, ri
 def dual_lambda(rows: Sequence, m: int, k: int, ring: str) -> list:
     """Complete a passing m x k matrix to its dual (m-k) x m counterpart.
 
-    GF(2): a kernel basis of the column space. Integers: the trailing rows of
-    the unimodular row transform of the Smith reduction, which requires the
-    columns to be part of a basis (all invariant factors 1).
+    GF(2): a kernel basis of the column space. Integers: rows k.. of the
+    unimodular row transform of the gcd elimination (zlattice._eliminate),
+    which requires the columns to be part of a basis (every pivot 1).
     """
     _check_ring(ring)
     if len(rows) != m:
@@ -206,8 +209,8 @@ def dual_lambda(rows: Sequence, m: int, k: int, ring: str) -> list:
         if len(basis) != m - k:
             raise ValueError("matrix does not have full column rank over GF(2)")
         return basis
-    factors, u = zlattice.smith_row_transform(rows)
-    if len(factors) != k or any(d != 1 for d in factors):
+    pivots, u = zlattice._eliminate(rows, k, units_only=True, track=True)
+    if pivots is None or any(d != 1 for d in pivots):
         raise ValueError("columns are not part of a basis of the integer lattice")
     return u[k:]
 

@@ -1,6 +1,12 @@
 """Exact integer matrix computations: determinants, Smith invariant factors,
 lattice spanning tests, and the odd-determinant 0/1 matrix scans.
 
+The lattice questions the verifiers ask (do these rows span Z^k, which
+primes divide the index of the lattice they span, what completes these
+columns to a unimodular matrix) are answered by one column-by-column gcd
+elimination, `_eliminate`; none of them needs the invariant factors. The
+Smith reduction stays for the invariant factors themselves.
+
 Everything runs on Python ints; no floating point anywhere.
 """
 
@@ -142,16 +148,71 @@ def smith_row_transform(mat: Sequence[Sequence[int]]) -> tuple[list[int], Matrix
     return factors, u
 
 
+def _eliminate(
+    rows: Sequence[Sequence[int]], k: int, units_only: bool = False, track: bool = False
+) -> tuple[list[int] | None, Matrix | None]:
+    """Row-echelon form of a matrix with k columns by gcd elimination.
+
+    Column by column, the smallest |entry| at or below the diagonal (ties to
+    the first row) becomes the pivot and reduces the rows under it by
+    unimodular row operations until they are zero in that column. Returns
+    the |pivot| of each column, which is the diagonal of the row Hermite
+    form, so at full rank their product is the index of the row lattice in
+    Z^k. The pivot list is None when the rank is below k. With units_only
+    the elimination stops after the first pivot that is not 1. With track
+    it also returns the row transform U, so that U @ rows is the echelon
+    form and rows k.. of U annihilate the columns.
+    """
+    a = [list(row) for row in rows]
+    if any(len(row) != k for row in a):
+        raise ValueError("row length does not match lattice rank")
+    r = len(a)
+    u = [[int(i == j) for j in range(r)] for i in range(r)] if track else None
+    pivots: list[int] = []
+    for t in range(k):
+        while True:
+            best = 0
+            pos = -1
+            for i in range(t, r):
+                v = abs(a[i][t])
+                if v and (not best or v < best):
+                    best, pos = v, i
+            if pos < 0:
+                return None, u
+            if pos != t:
+                a[t], a[pos] = a[pos], a[t]
+                if u is not None:
+                    u[t], u[pos] = u[pos], u[t]
+            top = a[t]
+            p = top[t]
+            clear = True
+            for i in range(t + 1, r):
+                x = a[i][t]
+                if x:
+                    q = x // p
+                    a[i] = [y - q * z for y, z in zip(a[i], top)]
+                    if u is not None:
+                        u[i] = [y - q * z for y, z in zip(u[i], u[t])]
+                    if a[i][t]:
+                        clear = False
+            if clear:
+                break
+        pivots.append(best)
+        if units_only and best != 1:
+            break
+    return pivots, u
+
+
 def rows_span_lattice(rows: Sequence[Sequence[int]], k: int) -> bool:
-    """True iff the rows generate the full integer lattice Z^k."""
+    """True iff the rows generate the full integer lattice Z^k: every pivot
+    of their echelon form is 1 (a pivot above 1 already makes the index of
+    the row lattice exceed 1)."""
     if k == 0:
         return True
     if len(rows) < k:
         return False
-    if any(len(r) != k for r in rows):
-        raise ValueError("row length does not match lattice rank")
-    factors = smith_invariant_factors(rows)
-    return len(factors) == k and all(d == 1 for d in factors)
+    pivots, _ = _eliminate(rows, k, units_only=True)
+    return pivots is not None and all(d == 1 for d in pivots)
 
 
 def lemma_r23_scan(n: int) -> Optional[Matrix]:

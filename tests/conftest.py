@@ -6,11 +6,17 @@ instance carrying an extra glued face, keeping only complexes with at most
 12 minimal non-faces. No search needs that cap any more; it is kept so that
 the corpus stays the one the acceptance tests and the benchmark's
 sweep-small workload are built on.
+
+Every property test runs under one hypothesis profile: derandomized, so a
+run draws the same examples each time, and without a per-example deadline,
+so timing on a loaded host cannot fail it. Each test sets its own
+max_examples.
 """
 
 from itertools import combinations
 
 import pytest
+from hypothesis import settings
 
 from buchstaber.complexes import SimplicialComplex
 from buchstaber.generators import (
@@ -24,6 +30,9 @@ from buchstaber.generators import (
     simplex,
     skeleton,
 )
+
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 CORPUS_PROBS = {5: (3, 5), 6: (3, 5), 7: (2, 3), 8: (7, 10)}
 

@@ -108,6 +108,12 @@ def test_condition_prime_set():
     assert 2 in primes
     # a spanning family everywhere needs no primes at all
     assert condition_prime_set(K, S3_INT, 2) == []
+    # every facet leaves rows of rank 1 < 2: 2 alone, though the Smith
+    # factors (3, 0) of the rows outside vertex 3 carry a 3; the verdict
+    # already fails at 2
+    rows = [[3, 0], [6, 0], [1, 0]]
+    assert condition_prime_set(K, rows, 2) == [2]
+    assert not verify_nonsimplex_condition(K, rows, 2, "int")
 
 
 def test_xi_search_four_cycle_first_witness():
@@ -515,7 +521,7 @@ def antichains(draw):
     return sorted(w for w in sets if not any(u != w and u & ~w == 0 for u in sets))
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=300)
 @given(antichains())
 def test_level3_scan_matches_naive_scan_on_antichains(ns):
     w = _find_s3(ns)
@@ -710,7 +716,9 @@ def test_dual_lambda_gf2():
 def test_dual_lambda_int():
     rows = [[1, 1], [1, 0], [1, 1], [1, 0]]
     lam = dual_lambda(rows, 4, 2, "int")
-    assert len(lam) == 2 and all(len(r) == 4 for r in lam)
+    # the elimination pivots on the first row of smallest |entry|, so the
+    # completion is deterministic: row 0 clears column 0, row 1 column 1
+    assert lam == [[-1, 0, 1, 0], [0, -1, 0, 1]]
     for lrow in lam:
         for j in range(2):
             assert sum(lrow[i] * rows[i][j] for i in range(4)) == 0

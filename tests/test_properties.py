@@ -1,9 +1,11 @@
 """Property tests: the answers do not depend on how the vertices are labelled,
-and the two minimal non-face algorithms agree."""
+the two minimal non-face algorithms agree, the constructor keeps exactly the
+maximal facets, and the matrix verifiers agree with each other."""
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from buchstaber import zlattice
 from buchstaber.complexes import (
     SimplicialComplex,
     minimal_nonsimplices_by_scan,
@@ -13,9 +15,19 @@ from buchstaber.generators import skeleton
 from buchstaber.invariant import (
     COVER_SEARCH_GUARD,
     SearchBudgetExceeded,
+    _prime_factors,
     analyze,
+    condition_prime_set,
+    dual_lambda,
+    verify_Lambda,
+    verify_nonsimplex_condition,
+    verify_S,
     xi_search,
 )
+
+
+def test_hypothesis_profile_is_deterministic():
+    assert settings.default.derandomize and settings.default.deadline is None
 
 
 @st.composite
@@ -56,7 +68,7 @@ def answers(K):
     )
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=60)
 @given(st.data())
 def test_relabelling_preserves_answers(data):
     K = data.draw(complexes())
@@ -71,10 +83,107 @@ def facet_families(draw):
     return SimplicialComplex(m, facets)
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
+@settings(max_examples=150)
 @given(facet_families())
 def test_scan_and_transversals_agree(K):
     ns = minimal_nonsimplices_by_scan(K)
     assert ns == minimal_nonsimplices_by_transversal(K)
     assert list(K.minimal_nonsimplices()) == ns
     assert SimplicialComplex.from_min_nonsimplex_masks(K.m, ns) == K
+
+
+@st.composite
+def facet_lists(draw):
+    """Facet lists on m <= 8 vertices with repeats and nested facets."""
+    m = draw(st.integers(1, 8))
+    base = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=10))
+    subsets = [f & draw(st.integers(0, (1 << m) - 1)) for f in base]
+    return m, draw(st.permutations(base + subsets + base[: draw(st.integers(0, len(base)))]))
+
+
+@settings(max_examples=300)
+@given(facet_lists())
+def test_constructor_keeps_exactly_the_maximal_facets(case):
+    m, facets = case
+    distinct = set(facets)
+    maximal = sorted(f for f in distinct if not any(f != g and f & ~g == 0 for g in distinct))
+    assert SimplicialComplex(m, facets).facets == tuple(maximal or [0])
+
+
+def smith_condition_prime_set(K, rows, k):
+    """Reference prime set from the Smith invariant factors of each
+    outside-row matrix: the primes of the nonzero factors, plus 2 for a zero
+    factor."""
+    primes = set()
+    for sigma in K.facets:
+        outside = [rows[i] for i in range(K.m) if not sigma >> i & 1]
+        factors = zlattice.smith_invariant_factors(outside) if outside else []
+        for d in list(factors) + [0] * (k - len(factors)):
+            if d == 0:
+                primes.add(2)
+            elif d > 1:
+                primes |= _prime_factors(d)
+    return sorted(primes)
+
+
+@st.composite
+def complexes_with_matrices(draw):
+    """A random complex on m <= 7 vertices with an m x k matrix over GF(2)
+    (row masks) or over the integers. Integer entries are 0/1 for k <= 4 or
+    in [-2, 2] for k <= 3, which keeps the primes the non-face condition
+    enumerates small; a third of the integer matrices have their first
+    column tripled, so that 3 divides the index of every full-rank facet."""
+    m = draw(st.integers(1, 7))
+    # small facets leave many rows outside, so that full-rank facets with an
+    # index above 1 turn up as well as rank-deficient ones
+    face = st.frozensets(st.integers(0, m - 1), max_size=draw(st.integers(0, m)))
+    K = SimplicialComplex(m, [sum(1 << v for v in f) for f in draw(st.lists(face, min_size=1, max_size=6))])
+    ring = draw(st.sampled_from(["gf2", "int"]))
+    if ring == "gf2":
+        k = draw(st.integers(1, min(m, 4)))
+        rows = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=m, max_size=m))
+    else:
+        small = draw(st.booleans())
+        k = draw(st.integers(1, min(m, 3 if small else 4)))
+        entries = st.integers(-2, 2) if small else st.integers(0, 1)
+        rows = draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=m, max_size=m))
+        scale = draw(st.sampled_from([1, 1, 3]))
+        rows = [[scale * row[0]] + row[1:] for row in rows]
+    return K, rows, k, ring
+
+
+def annihilates(lam, rows, k, ring):
+    """Every dual row pairs to zero (mod 2 over GF(2)) with every column."""
+    if ring == "gf2":
+        rows = [[(row >> j) & 1 for j in range(k)] for row in rows]
+        lam = [[(lrow >> i) & 1 for i in range(len(rows))] for lrow in lam]
+    for lrow in lam:
+        for j in range(k):
+            dot = sum(x * row[j] for x, row in zip(lrow, rows))
+            if (dot % 2 if ring == "gf2" else dot) != 0:
+                return False
+    return True
+
+
+def full_rank(rows, k):
+    factors = zlattice.smith_invariant_factors(rows) if rows else []
+    return len(factors) == k and all(factors)
+
+
+@settings(max_examples=400)
+@given(complexes_with_matrices())
+def test_verifiers_agree(case):
+    K, rows, k, ring = case
+    ok = verify_S(K, rows, k, ring)
+    assert ok == verify_nonsimplex_condition(K, rows, k, ring)
+    if ok:
+        lam = dual_lambda(rows, K.m, k, ring)
+        assert len(lam) == K.m - k
+        assert annihilates(lam, rows, k, ring)
+        assert verify_Lambda(K, lam, ring)
+    if ring == "int":
+        old = smith_condition_prime_set(K, rows, k)
+        new = condition_prime_set(K, rows, k)
+        assert set(new) <= set(old)
+        if all(full_rank([rows[i] for i in range(K.m) if not sigma >> i & 1], k) for sigma in K.facets):
+            assert new == old

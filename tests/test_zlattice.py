@@ -1,8 +1,12 @@
-"""Exact integer matrices: determinants, Smith factors, spanning, 0/1 scans."""
+"""Exact integer matrices: determinants, Smith factors, the elimination
+kernel behind the spanning test, 0/1 scans."""
 
+import math
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from buchstaber import gf2, zlattice
 from buchstaber.generators import Lcg
@@ -154,3 +158,51 @@ def test_smith_row_transform_is_unimodular():
         assert factors == zlattice.smith_invariant_factors(mat)
         assert len(u) == r and all(len(row) == r for row in u)
         assert zlattice.det_exact(u) in (1, -1)
+
+
+@st.composite
+def integer_matrices(draw):
+    """(rows, k): up to 8 rows of k <= 5 entries, in [-3, 3] or 0/1."""
+    k = draw(st.integers(1, 5))
+    entries = draw(st.sampled_from([st.integers(-3, 3), st.integers(0, 1)]))
+    rows = draw(st.lists(st.lists(entries, min_size=k, max_size=k), max_size=8))
+    return rows, k
+
+
+@settings(max_examples=400)
+@given(integer_matrices())
+def test_elimination_agrees_with_smith(case):
+    rows, k = case
+    factors = zlattice.smith_invariant_factors(rows)
+    smith_spans = len(factors) == k and all(d == 1 for d in factors)
+    assert zlattice.rows_span_lattice(rows, k) == smith_spans
+    pivots, _ = zlattice._eliminate(rows, k)
+    full_rank = len(factors) == k and all(factors)
+    assert (pivots is not None) == full_rank
+    if full_rank:
+        # both products are the index of the row lattice in Z^k
+        assert math.prod(pivots) == math.prod(factors)
+
+
+@settings(max_examples=300)
+@given(integer_matrices())
+def test_elimination_transform_is_unimodular_and_echelon(case):
+    rows, k = case
+    pivots, u = zlattice._eliminate(rows, k, track=True)
+    r = len(rows)
+    assert len(u) == r and zlattice.det_exact(u) in (1, -1)
+    if pivots is None:
+        return
+    echelon = [[sum(u[i][l] * rows[l][j] for l in range(r)) for j in range(k)] for i in range(r)]
+    for i, row in enumerate(echelon):
+        assert all(x == 0 for x in row[: min(i, k)])
+        if i < k:
+            assert abs(row[i]) == pivots[i]
+
+
+def test_elimination_stops_at_the_first_non_unit_pivot():
+    assert zlattice._eliminate([[2, 0], [0, 1]], 2) == ([2, 1], None)
+    assert zlattice._eliminate([[2, 0], [0, 1]], 2, units_only=True) == ([2], None)
+    assert zlattice._eliminate([[1, 1], [2, 2]], 2) == (None, None)
+    with pytest.raises(ValueError):
+        zlattice._eliminate([[1, 0, 0]], 2)
