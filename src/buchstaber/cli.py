@@ -38,10 +38,6 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("-o", dest="out", metavar="PATH", help="write output to PATH")
 
 
-def _set_text(verts: list[int]) -> str:
-    return "{" + ",".join(map(str, verts)) + "}"
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="buchstaber",
@@ -105,69 +101,20 @@ def _cmd_analyze(args) -> int:
 def _cmd_sreal(args) -> int:
     K = formats.load_complex(args.input)
     r = s_real(K, max_k=args.max_k, threads=args.threads)
-    xi = r.xi_witness
     if args.json:
-        obj = {
-            "lower": r.lower,
-            "upper": r.upper,
-            "exact": r.exact,
-            "value": r.value,
-            "xi_witness": None
-            if xi is None
-            else {str(a): face_vertices(om) for a, om in sorted(xi.assignment.items())},
-            "matrix_witness": None
-            if r.matrix_rows is None
-            else {
-                "ring": "gf2",
-                "k": xi.k,
-                "rows": formats.gf2_rows_to_lists(r.matrix_rows, xi.k),
-            },
-        }
-        text = json.dumps(obj, indent=2) + "\n"
+        text = json.dumps(formats.s_real_to_dict(r, K.m), indent=2) + "\n"
     else:
-        lines = []
-        if r.exact:
-            lines.append(f"s_real(K) = {r.lower} (exact)")
-        else:
-            lines.append(f"s_real(K) in [{r.lower}, {r.upper}]")
-        if xi is not None:
-            pieces = [
-                f"{a} -> {_set_text(face_vertices(om))}"
-                for a, om in sorted(xi.assignment.items())
-            ]
-            lines.append("xi witness: " + "; ".join(pieces))
-        if r.matrix_rows is not None:
-            rows = " ".join(
-                "[" + " ".join(map(str, row)) + "]"
-                for row in formats.gf2_rows_to_lists(r.matrix_rows, xi.k)
-            )
-            lines.append(f"matrix witness (gf2, k={xi.k}): {rows}")
-        text = "\n".join(lines) + "\n"
+        text = formats.s_real_to_text(r, K.m)
     _write(text, args.out)
     return 0 if r.exact else 2
 
 
 def _cmd_criteria(args) -> int:
-    K = formats.load_complex(args.input)
-    level, w = check_criteria(K)
+    level, w = check_criteria(formats.load_complex(args.input))
     if args.json:
-        obj = {
-            "level": level,
-            "witness": None
-            if w is None
-            else {
-                "level": w.level,
-                "case": w.case,
-                "sets": [face_vertices(s) for s in w.sets],
-            },
-        }
-        text = json.dumps(obj, indent=2) + "\n"
+        text = json.dumps(formats.criteria_to_dict(level, w), indent=2) + "\n"
     else:
-        if w is None:
-            text = f"criteria level = {level}\n"
-        else:
-            sets = ", ".join(_set_text(face_vertices(s)) for s in w.sets)
-            text = f"criteria level = {level} (case {w.case}: {sets})\n"
+        text = formats.criteria_to_text(level, w)
     _write(text, args.out)
     return 0
 
@@ -225,7 +172,8 @@ def _cmd_verify(args) -> int:
         if ok:
             text = "PASS\n"
         else:
-            text = f"FAIL at maximal simplex {_set_text(face_vertices(failing))}\n"
+            where = formats.vertex_set_text(face_vertices(failing))
+            text = f"FAIL at maximal simplex {where}\n"
     _write(text, args.out)
     return 0
 

@@ -15,10 +15,10 @@ form is {"m": int, "facets": [[...], ...]} or {"m": int, "nonsimplices":
 from __future__ import annotations
 
 import json
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .complexes import SimplicialComplex, face_mask, face_vertices
-from .invariant import InvariantReport, XiWitness
+from .invariant import CriterionWitness, InvariantReport, SRealResult, XiWitness
 
 
 def parse_complex_text(text: str) -> SimplicialComplex:
@@ -147,10 +147,76 @@ def xi_witness_from_dict(obj: dict, m: int) -> XiWitness:
     return XiWitness(k, assignment)
 
 
+def criterion_witness_to_dict(w: CriterionWitness) -> dict:
+    return {"level": w.level, "case": w.case, "sets": [face_vertices(s) for s in w.sets]}
+
+
+def matrix_witness_to_dict(rows: Sequence[int], k: int) -> dict:
+    return {"ring": "gf2", "k": k, "rows": gf2_rows_to_lists(rows, k)}
+
+
+def vertex_set_text(verts: Sequence[int]) -> str:
+    return "{" + ",".join(map(str, verts)) + "}"
+
+
+def criteria_to_dict(level: int, w: Optional[CriterionWitness]) -> dict:
+    """The `criteria` verb's JSON object."""
+    return {"level": level, "witness": None if w is None else criterion_witness_to_dict(w)}
+
+
+def criteria_to_text(level: int, w: Optional[CriterionWitness]) -> str:
+    d = criteria_to_dict(level, w)
+    return _criteria_line(d["level"], d["witness"]) + "\n"
+
+
+def _criteria_line(level: int, cw: Optional[dict]) -> str:
+    if cw is None:
+        return f"criteria level = {level}"
+    sets = ", ".join(vertex_set_text(s) for s in cw["sets"])
+    return f"criteria level = {level} (case {cw['case']}: {sets})"
+
+
+def s_real_to_dict(r: SRealResult, m: int) -> dict:
+    """The `sreal` verb's JSON object."""
+    xi = r.xi_witness
+    return {
+        "lower": r.lower,
+        "upper": r.upper,
+        "exact": r.exact,
+        "value": r.value,
+        "xi_witness": None if xi is None else xi_witness_to_dict(xi, m),
+        "matrix_witness": None
+        if r.matrix_rows is None
+        else matrix_witness_to_dict(r.matrix_rows, xi.k),
+    }
+
+
+def s_real_to_text(r: SRealResult, m: int) -> str:
+    d = s_real_to_dict(r, m)
+    return "\n".join(_s_real_lines(d, d["xi_witness"], d["matrix_witness"])) + "\n"
+
+
+def _s_real_lines(sr: dict, xi: Optional[dict], mw: Optional[dict]) -> list[str]:
+    """The value or interval line of s_real, then its witnesses."""
+    if sr["exact"]:
+        lines = [f"s_real(K) = {sr['lower']} (exact)"]
+    else:
+        lines = [f"s_real(K) in [{sr['lower']}, {sr['upper']}]"]
+    if xi is not None:
+        pieces = [
+            f"{a} -> {vertex_set_text(verts)}"
+            for a, verts in sorted(xi.items(), key=lambda kv: int(kv[0]))
+        ]
+        lines.append("xi witness: " + "; ".join(pieces))
+    if mw is not None:
+        rows = " ".join("[" + " ".join(map(str, row)) + "]" for row in mw["rows"])
+        lines.append(f"matrix witness (gf2, k={mw['k']}): {rows}")
+    return lines
+
+
 def report_to_dict(report: InvariantReport) -> dict:
     cw = report.criterion_witness
     xi = report.xi_witness
-    k = xi.k if xi is not None else 0
     return {
         "m": report.m,
         "dim": report.dim,
@@ -159,13 +225,7 @@ def report_to_dict(report: InvariantReport) -> dict:
         "ghost_vertices": list(report.ghost_vertices),
         "upper_bound": report.upper_bound,
         "criteria_level": report.criteria_level,
-        "criterion_witness": None
-        if cw is None
-        else {
-            "level": cw.level,
-            "case": cw.case,
-            "sets": [face_vertices(s) for s in cw.sets],
-        },
+        "criterion_witness": None if cw is None else criterion_witness_to_dict(cw),
         "cover": {
             "value": report.cover.value,
             "cover": [face_vertices(s) for s in report.cover.cover],
@@ -185,11 +245,7 @@ def report_to_dict(report: InvariantReport) -> dict:
         "xi_witness": None if xi is None else xi_witness_to_dict(xi, report.m),
         "matrix_witness": None
         if report.matrix_rows is None
-        else {
-            "ring": "gf2",
-            "k": k,
-            "rows": gf2_rows_to_lists(report.matrix_rows, k),
-        },
+        else matrix_witness_to_dict(report.matrix_rows, xi.k),
         "s": {
             "lower": report.s_lower,
             "upper": report.s_upper,
@@ -215,17 +271,10 @@ def report_to_text(report: InvariantReport) -> str:
     if d["ghost_vertices"]:
         lines.append("ghost vertices = " + " ".join(map(str, d["ghost_vertices"])))
     lines.append(f"upper bound m - dim - 1 = {d['upper_bound']}")
-    cw = d["criterion_witness"]
-    if cw is None:
-        lines.append(f"criteria level = {d['criteria_level']}")
-    else:
-        sets = ", ".join("{" + ",".join(map(str, s)) + "}" for s in cw["sets"])
-        lines.append(
-            f"criteria level = {d['criteria_level']} (case {cw['case']}: {sets})"
-        )
+    lines.append(_criteria_line(d["criteria_level"], d["criterion_witness"]))
     cov = d["cover"]
     if cov["coverable"]:
-        sets = ", ".join("{" + ",".join(map(str, s)) + "}" for s in cov["cover"])
+        sets = ", ".join(vertex_set_text(s) for s in cov["cover"])
         tag = " [greedy]" if cov["heuristic"] else ""
         lines.append(f"cover bound = {cov['value']} (cover: {sets}){tag}")
     else:
@@ -236,22 +285,7 @@ def report_to_text(report: InvariantReport) -> str:
         lines.append(f"graph formula value = {d['ayzenberg_value']}")
     if d["chromatic_bound"] is not None:
         lines.append(f"chromatic bound (polytopal) = {d['chromatic_bound']}")
-    sr = d["s_real"]
-    if sr["exact"]:
-        lines.append(f"s_real(K) = {sr['lower']} (exact)")
-    else:
-        lines.append(f"s_real(K) in [{sr['lower']}, {sr['upper']}]")
-    if d["xi_witness"] is not None:
-        pieces = [
-            f"{a} -> {{{','.join(map(str, verts))}}}"
-            for a, verts in sorted(d["xi_witness"].items(), key=lambda kv: int(kv[0]))
-        ]
-        lines.append("xi witness: " + "; ".join(pieces))
-    if d["matrix_witness"] is not None:
-        rows = " ".join(
-            "[" + " ".join(map(str, row)) + "]" for row in d["matrix_witness"]["rows"]
-        )
-        lines.append(f"matrix witness (gf2, k={d['matrix_witness']['k']}): {rows}")
+    lines += _s_real_lines(d["s_real"], d["xi_witness"], d["matrix_witness"])
     for w in d["warnings"]:
         lines.append(f"note: {w}")
     s = d["s"]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import gf2, zlattice
 from .complexes import SimplicialComplex, full_mask
@@ -42,15 +42,6 @@ def _check_threads(threads: int) -> None:
     has no effect: every search runs in the calling thread."""
     if threads < 0:
         raise ValueError("thread count must be >= 0")
-
-
-def _first_hit(n_branches: int, run: Callable[[int], object]):
-    """First (by branch index) non-None branch result."""
-    for i in range(n_branches):
-        r = run(i)
-        if r is not None:
-            return r
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -430,134 +421,122 @@ def xi_search(
             domain_cache[mask] = r
         return r
 
-    BUDGET = "budget"
     nodes = 0
+    span = [1] * m   # bit s: vector s lies in the span at this vertex
+    zero = [1] * m   # bit s: <s, y> is forced to 0 there
+    assign = [0] * (nvec + 1)
+    forbid = [0] * (nvec + 2)  # vertex mask per vector, = {x : v in zero}
+    # the closure masks are canonical and determine the whole subtree
+    # (including which placements are forced), so exhausted states can be
+    # cut on re-entry
+    failed: set[tuple[int, ...]] = set()
+    trail: list[tuple] = []  # ('c', x, span, zero, add_zero) | ('a', v)
 
-    def run_branch(ci: int):
-        span = [1] * m   # bit s: vector s lies in the span at this vertex
-        zero = [1] * m   # bit s: <s, y> is forced to 0 there
-        assign = [0] * (nvec + 1)
-        forbid = [0] * (nvec + 2)  # vertex mask per vector, = {x : v in zero}
-        # the closure masks are canonical and determine the whole subtree
-        # (including which placements are forced), so exhausted states can
-        # be cut on re-entry
-        failed: set[tuple[int, ...]] = set()
-        trail: list[tuple] = []  # ('c', x, span, zero, add_zero) | ('a', v)
+    def shuffle(mask: int, v: int) -> int:
+        for b in range(k):
+            if v >> b & 1:
+                s, lo = butterflies[b]
+                mask = (mask >> s) & lo | (mask & lo) << s
+        return mask
 
-        def shuffle(mask: int, v: int) -> int:
-            for b in range(k):
-                if v >> b & 1:
-                    s, lo = butterflies[b]
-                    mask = (mask >> s) & lo | (mask & lo) << s
-            return mask
-
-        def place(v: int, om: int) -> bool:
-            """Insert <v, y> = 1 at every vertex of om, then unit-propagate:
-            a future vector whose domain shrank to one non-face is placed at
-            once (such moves are implied by every completion). Appends undo
-            records to the shared trail; False means dead end."""
-            touched = []
-            rest = om
-            while rest:
-                x = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                sp = span[x]
-                if sp >> v & 1:
-                    continue  # already implied with value 1
-                zx = zero[x]
-                # new span coset s^v; forced-to-0 elements come from parity-1
-                add_zero = shuffle(sp ^ zx, v)
-                trail.append(("c", x, sp, zx, add_zero))
-                span[x] = sp | shuffle(sp, v)
-                zero[x] = zx | add_zero
-                bits = add_zero
-                while bits:
-                    low = bits & -bits
-                    w = low.bit_length() - 1
-                    bits ^= low
-                    forbid[w] |= 1 << x
-                    if not assign[w]:
-                        touched.append(w)
-            assign[v] = om
-            trail.append(("a", v))
-            for w in sorted(set(touched)):
-                if assign[w]:
-                    continue
-                count, only = domain_info(forbid[w])
-                if count == 0:
-                    return False
-                if count == 1 and not place(w, only):
-                    return False
-            return True
-
-        def unwind(mark: int) -> None:
-            while len(trail) > mark:
-                rec = trail.pop()
-                if rec[0] == "a":
-                    assign[rec[1]] = 0
-                    continue
-                _, x, sp, zx, add_zero = rec
-                span[x] = sp
-                zero[x] = zx
-                bits = add_zero
-                while bits:
-                    low = bits & -bits
-                    w = low.bit_length() - 1
-                    bits ^= low
-                    forbid[w] &= ~(1 << x)
-
-        def dfs(v: int) -> Optional[bool]:
-            nonlocal nodes
-            while v <= nvec and assign[v]:
-                v += 1
-            if v > nvec:
-                return True
-            nodes += 1
-            if nodes > node_budget:
-                return None
-            parts = [sp << (nvec + 1) | zr for sp, zr in zip(span, zero)]
-            if symmetric:
-                parts.sort()
-            key = (v, *parts)
-            if key in failed:
+    def place(v: int, om: int) -> bool:
+        """Insert <v, y> = 1 at every vertex of om, then unit-propagate:
+        a future vector whose domain shrank to one non-face is placed at
+        once (such moves are implied by every completion). Appends undo
+        records to the shared trail; False means dead end."""
+        touched = []
+        rest = om
+        while rest:
+            x = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            sp = span[x]
+            if sp >> v & 1:
+                continue  # already implied with value 1
+            zx = zero[x]
+            # new span coset s^v; forced-to-0 elements come from parity-1
+            add_zero = shuffle(sp ^ zx, v)
+            trail.append(("c", x, sp, zx, add_zero))
+            span[x] = sp | shuffle(sp, v)
+            zero[x] = zx | add_zero
+            bits = add_zero
+            while bits:
+                low = bits & -bits
+                w = low.bit_length() - 1
+                bits ^= low
+                forbid[w] |= 1 << x
+                if not assign[w]:
+                    touched.append(w)
+        assign[v] = om
+        trail.append(("a", v))
+        for w in sorted(set(touched)):
+            if assign[w]:
+                continue
+            count, only = domain_info(forbid[w])
+            if count == 0:
                 return False
-            blocked = forbid[v]
-            for om in nonsimp:
-                if om & blocked:
-                    continue
-                mark = len(trail)
-                if place(v, om):
-                    sub = dfs(v + 1)
-                    if sub:
-                        return True
-                    unwind(mark)
-                    if sub is None:
-                        return None
-                else:
-                    unwind(mark)
-            if len(failed) < 500_000:
-                failed.add(key)
-            return False
+            if count == 1 and not place(w, only):
+                return False
+        return True
 
-        if not place(1, nonsimp[ci]):
+    def unwind(mark: int) -> None:
+        while len(trail) > mark:
+            rec = trail.pop()
+            if rec[0] == "a":
+                assign[rec[1]] = 0
+                continue
+            _, x, sp, zx, add_zero = rec
+            span[x] = sp
+            zero[x] = zx
+            bits = add_zero
+            while bits:
+                low = bits & -bits
+                w = low.bit_length() - 1
+                bits ^= low
+                forbid[w] &= ~(1 << x)
+
+    def dfs(v: int) -> Optional[bool]:
+        nonlocal nodes
+        while v <= nvec and assign[v]:
+            v += 1
+        if v > nvec:
+            return True
+        nodes += 1
+        if nodes > node_budget:
             return None
-        sub = True if nvec == 1 else dfs(2)
-        if sub is None:
-            return BUDGET
-        if sub:
-            return {v: assign[v] for v in range(1, nvec + 1)}
-        return None
+        parts = [sp << (nvec + 1) | zr for sp, zr in zip(span, zero)]
+        if symmetric:
+            parts.sort()
+        key = (v, *parts)
+        if key in failed:
+            return False
+        blocked = forbid[v]
+        for om in nonsimp:
+            if om & blocked:
+                continue
+            mark = len(trail)
+            if place(v, om):
+                sub = dfs(v + 1)
+                if sub:
+                    return True
+                unwind(mark)
+                if sub is None:
+                    return None
+            else:
+                unwind(mark)
+        if len(failed) < 500_000:
+            failed.add(key)
+        return False
 
-    hit = _first_hit(len(nonsimp), run_branch)
+    found = dfs(1)
     if stats is not None:
         stats["nodes"] = stats.get("nodes", 0) + nodes
-    if hit is None:
-        return None
-    if hit == BUDGET:
+    if found is None:
         raise SearchBudgetExceeded(
             f"xi search at k={k} exceeded {node_budget} nodes in one call"
         )
-    return XiWitness(k, hit)
+    if not found:
+        return None
+    return XiWitness(k, {v: assign[v] for v in range(1, nvec + 1)})
 
 
 def xi_to_matrix(K: SimplicialComplex, w: XiWitness) -> list[int]:
@@ -595,35 +574,27 @@ def matrix_search(K: SimplicialComplex, k: int, *, threads: int = 1) -> Optional
     if any(len(o) < k for o in outs):
         return None
     outs.sort(key=len)
-    space = 1 << k
-
-    def run_branch(r0: int) -> Optional[list[int]]:
-        for rest in product(range(space), repeat=m - 1):
-            rows = (r0,) + rest
-            ok = True
-            for out in outs:
-                pivots: dict[int, int] = {}
-                cnt = 0
-                for i in out:
-                    v = rows[i]
-                    while v:
-                        low = v & -v
-                        b = pivots.get(low)
-                        if b is None:
-                            pivots[low] = v
-                            cnt += 1
-                            break
-                        v ^= b
-                    if cnt == k:
+    for rows in product(range(1 << k), repeat=m):
+        for out in outs:
+            pivots: dict[int, int] = {}
+            cnt = 0
+            for i in out:
+                v = rows[i]
+                while v:
+                    low = v & -v
+                    b = pivots.get(low)
+                    if b is None:
+                        pivots[low] = v
+                        cnt += 1
                         break
-                if cnt < k:
-                    ok = False
+                    v ^= b
+                if cnt == k:
                     break
-            if ok:
-                return list(rows)
-        return None
-
-    return _first_hit(space, run_branch)
+            if cnt < k:
+                break
+        else:
+            return list(rows)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -657,20 +628,31 @@ def s_real(
     at the first failure, the upper bound m - dim - 1, or a resource guard
     (k cap or node budget); a guarded stop yields an interval.
 
-    Each rank is decided by the subspace scan of xi_witness_exists, and the
-    witness is read off the subspace it finds, so it is in general not the
-    canonical-first witness of xi_search. Only where [m choose k]_2 exceeds
-    EXISTENCE_SCAN_LIMIT does the climb fall back to the backtracking
-    xi_search, and node_budget governs that fallback alone. `threads` is
-    accepted and has no effect.
+    The criteria of check_criteria run first. For k <= 3 a xi mapping of
+    rank k exists iff the criteria level is at least k, so the climb ends
+    at rank level + 1 without searching when that rank is at most 3. Every
+    other rank, those up to the level included (for their witness), is
+    decided by the subspace scan of xi_witness_exists, and the witness is
+    read off the subspace it finds, so it is in general not the
+    canonical-first witness of xi_search. Only where [m choose k]_2
+    exceeds EXISTENCE_SCAN_LIMIT does the climb fall back to the
+    backtracking xi_search, and node_budget governs that fallback alone.
+    `threads` is accepted and has no effect.
     """
     _check_threads(threads)
+    return _climb(K, check_criteria(K)[0], max_k, node_budget)
+
+
+def _climb(K: SimplicialComplex, level: int, max_k: int, node_budget: int) -> SRealResult:
+    """The climb of s_real, given the criteria level of K."""
     ub = K.m - K.dimension - 1
     cap = min(ub, max(0, max_k))
     best: Optional[XiWitness] = None
     value = 0
     for k in range(1, cap + 1):
-        if _gaussian_binomial(K.m, k) <= EXISTENCE_SCAN_LIMIT:
+        if level < k <= 3:
+            w = None  # refuted by the criteria
+        elif _gaussian_binomial(K.m, k) <= EXISTENCE_SCAN_LIMIT:
             span = _good_span(K, k)
             w = None if span is None else _xi_from_span(K, span, k)
         else:
@@ -837,21 +819,17 @@ def check_criteria(K: SimplicialComplex) -> tuple[int, Optional[CriterionWitness
     Level 1 needs a nonempty non-face set; level 2 a disjoint pair or a
     triple with empty common intersection; level 3 one of the five listed
     configurations (scanned pairs-then-triples, then ascending tuple size).
+    For r <= 3, level >= r iff s_R(K) >= r iff s(K) >= r. A level-3
+    configuration gives s(K) >= 3 and s(K) <= m - dim - 1, so the level-3
+    scan is skipped, as bound to fail, when m - dim - 1 < 3.
     """
-    return _criteria(K.minimal_nonsimplices(), level3=True)
-
-
-def _criteria(
-    nonsimp: Sequence[int], *, level3: bool
-) -> tuple[int, Optional[CriterionWitness]]:
-    """check_criteria on a non-face list; level3=False skips the level-3
-    scan, which is only sound when that scan is known to fail."""
+    nonsimp = K.minimal_nonsimplices()
     if not nonsimp:
         return 0, None
     s2 = _find_s2(nonsimp)
     if s2 is None:
         return 1, CriterionWitness(1, 1, (nonsimp[0],))
-    s3 = _find_s3(nonsimp) if level3 else None
+    s3 = _find_s3(nonsimp) if K.m - K.dimension - 1 >= 3 else None
     if s3 is not None:
         return 3, s3
     return 2, s2
@@ -1060,17 +1038,15 @@ def analyze(
     node_budget: int = XI_DEFAULT_NODE_BUDGET,
 ) -> InvariantReport:
     """Full report: bounds, criteria level, exact values where determined,
-    and the witnesses backing them. `threads` is accepted and has no
-    effect."""
+    and the witnesses backing them. The criteria run first, and the xi
+    climb of s_real ends at rank level + 1 without searching when that rank
+    is at most 3. `threads` is accepted and has no effect."""
     _check_threads(threads)
     nonsimp = K.minimal_nonsimplices()
     dim = K.dimension
     ub = K.m - dim - 1
-    sr = s_real(K, max_k=max_k, node_budget=node_budget)
-    # every level-3 configuration gives a rank-3 xi mapping (case 1 lists
-    # the lines of the Fano plane, the odd circuits of Z_2^3), so once the
-    # climb has refuted rank 3 the level-3 scan can only fail: skip it
-    level, crit_w = _criteria(nonsimp, level3=not (sr.exact and sr.lower < 3))
+    level, crit_w = check_criteria(K)
+    sr = _climb(K, level, max_k, node_budget)
     cover = cover_lower_bound(K)
     warnings: list[str] = []
     ghosts = tuple(K.ghost_vertices())

@@ -181,6 +181,59 @@ def test_cli_sreal_and_criteria(tmp_path):
     assert text.startswith("criteria level = 2")
 
 
+def as_json(obj):
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def test_cli_sreal_and_criteria_full_output(tmp_path):
+    # every byte of the sreal and criteria verbs, text and JSON, on an exact
+    # result (the 4-cycle) and a capped interval (8 points)
+    sq = tmp_path / "sq.cplx"
+    p8 = tmp_path / "p8.cplx"
+    main(["gen", "cycle", "4", "-o", str(sq)])
+    main(["gen", "points", "8", "-o", str(p8)])
+    cases = {
+        sq: (
+            0,
+            "s_real(K) = 2 (exact)\n"
+            "xi witness: 1 -> {1,3}; 2 -> {2,4}; 3 -> {1,3}\n"
+            "matrix witness (gf2, k=2): [1 0] [0 1] [1 0] [0 1]\n",
+            {
+                "lower": 2, "upper": 2, "exact": True, "value": 2,
+                "xi_witness": {"1": [1, 3], "2": [2, 4], "3": [1, 3]},
+                "matrix_witness": {
+                    "ring": "gf2", "k": 2, "rows": [[1, 0], [0, 1], [1, 0], [0, 1]],
+                },
+            },
+            "criteria level = 2 (case 2: {1,3}, {2,4})\n",
+            {"level": 2, "witness": {"level": 2, "case": 2, "sets": [[1, 3], [2, 4]]}},
+        ),
+        p8: (
+            2,
+            "s_real(K) in [2, 7]\n"
+            "xi witness: 1 -> {1,2}; 2 -> {1,3}; 3 -> {2,3}\n"
+            "matrix witness (gf2, k=2): [1 1] [1 0] [0 1] [0 0] [0 0] [0 0] [0 0] [0 0]\n",
+            {
+                "lower": 2, "upper": 7, "exact": False, "value": None,
+                "xi_witness": {"1": [1, 2], "2": [1, 3], "3": [2, 3]},
+                "matrix_witness": {
+                    "ring": "gf2", "k": 2,
+                    "rows": [[1, 1], [1, 0], [0, 1]] + [[0, 0]] * 5,
+                },
+            },
+            "criteria level = 3 (case 5: {1,2}, {3,4}, {5,6})\n",
+            {"level": 3, "witness": {"level": 3, "case": 5, "sets": [[1, 2], [3, 4], [5, 6]]}},
+        ),
+    }
+    for path, (code, sreal_text, sreal_obj, crit_text, crit_obj) in cases.items():
+        assert run_cli(tmp_path, "sreal", str(path), "--max-k", "2") == (code, sreal_text)
+        assert run_cli(tmp_path, "sreal", str(path), "--max-k", "2", "--json") == (
+            code, as_json(sreal_obj),
+        )
+        assert run_cli(tmp_path, "criteria", str(path)) == (0, crit_text)
+        assert run_cli(tmp_path, "criteria", str(path), "--json") == (0, as_json(crit_obj))
+
+
 def test_cli_sreal_guard_exit_code(tmp_path):
     path = tmp_path / "p8.cplx"
     main(["gen", "points", "8", "-o", str(path)])
@@ -246,6 +299,17 @@ def test_cli_negative_threads_rejected(tmp_path, capsys):
     for verb in ("analyze", "sreal", "oracle"):
         assert main([verb, str(sq), "--threads", "-1"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_threads_flag_changes_nothing(tmp_path):
+    # the worker count is accepted and validated, and has no effect
+    for n, spec in enumerate((["cycle", "5"], ["random", "7", "1", "2", "--seed", "3"])):
+        path = tmp_path / f"c{n}.cplx"
+        main(["gen", *spec, "-o", str(path)])
+        one = run_cli(tmp_path, "analyze", str(path), "--json", "--threads", "1")
+        eight = run_cli(tmp_path, "analyze", str(path), "--json", "--threads", "8")
+        assert one == eight and one[1]
+        assert main(["analyze", str(path), "--threads", "-1"]) == 1
 
 
 def test_cli_stdout_output(capsys):
