@@ -55,52 +55,87 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 
 def is_antichain(masks: Iterable[int]) -> bool:
-    """True when no mask in the collection strictly contains another."""
+    """True when no mask in the collection contains another; a repeated mask
+    counts as containing its copy.
+
+    Only a strictly larger mask can strictly contain another, so each mask is
+    tested against the strictly smaller ones alone and equal sizes never meet.
+    """
     ms = list(masks)
-    for a, b in combinations(ms, 2):
-        if a & b == a or a & b == b:
+    if len(set(ms)) != len(ms):
+        return False
+    by_size: dict[int, list[int]] = {}
+    for w in ms:
+        by_size.setdefault(w.bit_count(), []).append(w)
+    smaller: list[int] = []
+    for size in sorted(by_size):
+        group = by_size[size]
+        if any(a & ~b == 0 for b in group for a in smaller):
             return False
+        smaller.extend(group)
     return True
 
 
 def minimal_transversals(sets: Iterable[int], m: int) -> list[int]:
-    """All minimal hitting sets of a family of vertex-set masks.
+    """All minimal hitting sets of a family of vertex-set masks on m vertices.
 
-    Incremental construction: maintain the minimal transversals of the
-    processed prefix; a set containing the empty set is unhittable and
-    yields []. Dominated (superset) inputs are redundant and dropped.
+    Depth-first MMCS enumeration (Murakami and Uno, "Efficient algorithms for
+    dualizing large-scale hypergraphs", Discrete Appl. Math. 170, 2014), with
+    the family members indexed as bits:
+
+    * hit[v] is the set of members that contain vertex v;
+    * a node carries the current set S, the members S leaves uncovered and
+      the candidate vertices that may still join S;
+    * it branches on the lowest-indexed uncovered member with the fewest
+      candidates (the scan stops at the first with at most one), over that
+      member's candidates in ascending order, each dropped from the
+      candidates before the next branch. So each transversal is reached
+      once, and a member with no candidate left ends the node;
+    * crit[u] is the set of members only u in S hits. A vertex v joins S
+      only if every crit[u] keeps a bit outside hit[v], so S is minimal at
+      every node and a cover is output without a containment test.
+
+    A family holding the empty set is unhittable and yields []; the empty
+    family yields [0]. Duplicate and non-minimal members change nothing.
     """
-    family = sorted(set(sets), key=lambda s: (s.bit_count(), s))
-    if any(s == 0 for s in family):
-        return []
-    reduced: list[int] = []
+    family = sorted(set(sets))
     for s in family:
-        if not any(t & ~s == 0 for t in reduced):
-            reduced.append(s)
-    trans = [0]
-    for s in reduced:
-        new = []  # the transversals that already hit s stay minimal
-        miss = []
-        # those that hit s in a single vertex, keyed by that vertex's bit
-        single: dict[int, list[int]] = {}
-        for t in trans:
-            x = t & s
-            if not x:
-                miss.append(t)
-                continue
-            new.append(t)
-            if x & (x - 1) == 0:
-                single.setdefault(x, []).append(t)
-        for t in miss:
-            for bit in iter_bits(s):
-                cand = t | bit
-                # cand is non-minimal iff it contains a transversal u that
-                # already hits s; as t misses s, u & s must then be exactly
-                # bit. Candidates from distinct t are incomparable.
-                if not any(u & ~cand == 0 for u in single.get(bit, ())):
-                    new.append(cand)
-        trans = new
-    return sorted(trans)
+        if s < 0 or s >> m:
+            raise ValueError(f"member {s:#x} has a vertex outside 1..{m}")
+    if family and family[0] == 0:
+        return []
+    hit = [0] * m
+    for i, s in enumerate(family):
+        for bit in iter_bits(s):
+            hit[bit.bit_length() - 1] |= 1 << i
+    out: list[int] = []
+
+    def extend(S: int, crit: list[int], cand: int, uncov: int) -> None:
+        if not uncov:
+            out.append(S)
+            return
+        fewest = m + 1
+        rest = uncov
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            c = family[low.bit_length() - 1] & cand
+            n = c.bit_count()
+            if n < fewest:
+                fewest, branch = n, c
+                if n <= 1:
+                    break
+        for bit in iter_bits(branch):
+            cand ^= bit
+            hv = hit[bit.bit_length() - 1]
+            keep = ~hv
+            sub = [c & keep for c in crit]
+            if all(sub):
+                sub.append(uncov & hv)
+                extend(S | bit, sub, cand, uncov & keep)
+
+    extend(0, [], full_mask(m), (1 << len(family)) - 1)
+    return sorted(out)
 
 
 class SimplicialComplex:

@@ -8,6 +8,7 @@ from buchstaber.complexes import (
     face_vertices,
     full_mask,
     is_antichain,
+    iter_bits,
     minimal_nonsimplices_by_scan,
     minimal_nonsimplices_by_transversal,
     minimal_transversals,
@@ -15,10 +16,12 @@ from buchstaber.complexes import (
 from buchstaber.generators import (
     Lcg,
     boundary_simplex,
+    cyclic_polytope_boundary,
     cycle,
     points,
     random_complex,
     simplex,
+    skeleton,
 )
 
 
@@ -153,6 +156,20 @@ def test_ghost_vertices():
 def test_antichain_helper():
     assert is_antichain([0b011, 0b101])
     assert not is_antichain([0b001, 0b011])
+    assert not is_antichain([0b011, 0b011])  # a repeat contains its copy
+    assert not is_antichain([0b111, 0b011, 0b110])
+    assert is_antichain([]) and is_antichain([0])
+    assert not is_antichain([0b100, 0])
+
+
+def test_antichain_matches_pairwise_definition():
+    # small masks on 5 vertices, so that repeats, equal sizes and nesting
+    # all turn up often
+    rng = Lcg(7)
+    for _ in range(2000):
+        ms = [rng.below(32) for _ in range(rng.below(7))]
+        want = not any(a & b in (a, b) for i, a in enumerate(ms) for b in ms[i + 1:])
+        assert is_antichain(ms) == want, ms
 
 
 def test_minimal_transversals_basics():
@@ -161,6 +178,39 @@ def test_minimal_transversals_basics():
     assert sorted(map(face_vertices, out)) == [[1, 3], [1, 4], [2, 3], [2, 4]]
     assert minimal_transversals([], 4) == [0]
     assert minimal_transversals([0], 4) == []  # empty set is unhittable
+
+
+def test_minimal_transversals_rejects_vertex_outside_m():
+    with pytest.raises(ValueError):
+        minimal_transversals([0b0011, 0b10000], 4)
+    with pytest.raises(ValueError):
+        minimal_transversals([-1], 4)
+    assert minimal_transversals([0b1000], 4) == [0b1000]
+
+
+# The benchmark's largest N(K) computations, with |N(K)| from its closed form
+# (the non-faces of the 2-skeleton of a simplex are its 4-sets) or as
+# recorded in perfbench/expected/answers.json.
+LARGE_NONFACE_COUNTS = [
+    (skeleton(9, 2), 210),
+    (skeleton(11, 2), 495),
+    (skeleton(15, 2), 1820),
+    (cyclic_polytope_boundary(9, 14), 91),
+    (cyclic_polytope_boundary(5, 16), 275),
+]
+
+
+@pytest.mark.parametrize("K, count", LARGE_NONFACE_COUNTS, ids=["D9/2", "D11/2", "D15/2", "C9(14)", "C5(16)"])
+def test_nonfaces_at_benchmark_scale(K, count):
+    ns = K.minimal_nonsimplices()
+    assert len(ns) == count
+    # each listed set is a non-face whose every one-smaller subset is a face
+    for w in ns:
+        assert not K.contains_face(w)
+        assert all(K.contains_face(w ^ bit) for bit in iter_bits(w))
+    assert SimplicialComplex.from_min_nonsimplex_masks(K.m, ns) == K
+    if K.m <= 12:
+        assert minimal_nonsimplices_by_scan(K) == list(ns)
 
 
 def _random_corpus():

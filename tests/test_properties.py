@@ -1,6 +1,7 @@
 """Property tests: the answers do not depend on how the vertices are labelled,
-the two minimal non-face algorithms agree, the constructor keeps exactly the
-maximal facets, and the matrix verifiers agree with each other."""
+the two minimal non-face algorithms agree, the minimal transversals match a
+brute-force oracle and satisfy Berge duality, the constructor keeps exactly
+the maximal facets, and the matrix verifiers agree with each other."""
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from buchstaber.complexes import (
     SimplicialComplex,
     minimal_nonsimplices_by_scan,
     minimal_nonsimplices_by_transversal,
+    minimal_transversals,
 )
 from buchstaber.generators import skeleton
 from buchstaber.invariant import (
@@ -90,6 +92,43 @@ def test_scan_and_transversals_agree(K):
     assert ns == minimal_nonsimplices_by_transversal(K)
     assert list(K.minimal_nonsimplices()) == ns
     assert SimplicialComplex.from_min_nonsimplex_masks(K.m, ns) == K
+
+
+@st.composite
+def set_families(draw):
+    """Families of vertex sets on m <= 9 vertices, with repeated members,
+    supersets of members, the empty member and the empty family."""
+    m = draw(st.integers(0, 9))
+    mask = st.integers(0, (1 << m) - 1)
+    base = draw(st.lists(mask, max_size=8))
+    supersets = [s | draw(mask) for s in base[: draw(st.integers(0, len(base)))]]
+    repeats = base[: draw(st.integers(0, len(base)))]
+    return m, draw(st.permutations(base + supersets + repeats))
+
+
+def brute_minimal_transversals(family, m):
+    """Every subset of [m] that meets each member and stops doing so when
+    any one of its vertices is removed."""
+    def hits(t):
+        return all(t & s for s in family)
+
+    return [t for t in range(1 << m)
+            if hits(t) and not any(t >> v & 1 and hits(t ^ (1 << v)) for v in range(m))]
+
+
+@settings(max_examples=300)
+@given(set_families())
+def test_minimal_transversals_match_brute_force(case):
+    m, family = case
+    assert minimal_transversals(family, m) == brute_minimal_transversals(family, m)
+
+
+@settings(max_examples=200)
+@given(set_families())
+def test_berge_duality(case):
+    m, family = case
+    minimal = sorted({s for s in family if not any(t != s and t & ~s == 0 for t in family)})
+    assert minimal_transversals(minimal_transversals(family, m), m) == minimal
 
 
 @st.composite
