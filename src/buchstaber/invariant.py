@@ -253,8 +253,8 @@ def xi_witness_exists(K: SimplicialComplex, k: int) -> Optional[bool]:
     the matrix condition: one exists iff some k-dimensional subspace of
     Z_2^m consists (nonzero part) of vectors whose support contains a
     minimal non-face. Returns None when the subspace space is too large to
-    scan; never returns a wrong answer. `s_real` reads its witness off the
-    subspace found here (see _good_span).
+    scan; never returns a wrong answer. At ranks >= 4 `s_real` reads its
+    witness off the subspace found here (see _good_span).
     """
     if k == 0:
         return True
@@ -359,9 +359,10 @@ def xi_search(
     the matrix condition (use_existence_filter); the backtracking itself
     settles the remaining cases. `threads` is accepted and has no effect.
 
-    `s_real` and `analyze` do not report this witness where the subspace
-    scan decides: they read one off the subspace instead, and call this
-    search only above EXISTENCE_SCAN_LIMIT.
+    `s_real` and `analyze` report this witness at ranks <= 3, searched on
+    the complex of the matched criteria configuration. At ranks >= 4 they
+    read one off the subspace scan instead, and call this search on K only
+    above EXISTENCE_SCAN_LIMIT.
     """
     _check_threads(threads)
     if k < 0:
@@ -624,35 +625,37 @@ def s_real(
     threads: int = 1,
     node_budget: int = XI_DEFAULT_NODE_BUDGET,
 ) -> SRealResult:
-    """Largest k admitting a xi mapping, climbing k = 1, 2, ... and stopping
-    at the first failure, the upper bound m - dim - 1, or a resource guard
-    (k cap or node budget); a guarded stop yields an interval.
+    """Largest k admitting a xi mapping, or a certified interval when the
+    k cap or the node budget stops the climb.
 
-    The criteria of check_criteria run first. For k <= 3 a xi mapping of
-    rank k exists iff the criteria level is at least k, so the climb ends
-    at rank level + 1 without searching when that rank is at most 3. Every
-    other rank, those up to the level included (for their witness), is
-    decided by the subspace scan of xi_witness_exists, and the witness is
-    read off the subspace it finds, so it is in general not the
-    canonical-first witness of xi_search. Only where [m choose k]_2
-    exceeds EXISTENCE_SCAN_LIMIT does the climb fall back to the
-    backtracking xi_search, and node_budget governs that fallback alone.
-    `threads` is accepted and has no effect.
+    The criteria of check_criteria alone decide ranks 1..3: a xi mapping of
+    rank r <= 3 exists iff the level is at least r, so a level below 3
+    bounds the value whatever max_k is. The witness at r = min(level, max_k)
+    is the canonical-first xi mapping onto the matched configuration. Higher
+    ranks go to the subspace scan of xi_witness_exists, whose subspace gives
+    the witness, or, where [m choose k]_2 exceeds EXISTENCE_SCAN_LIMIT, to
+    the backtracking xi_search under node_budget. `threads` is accepted and
+    has no effect.
     """
     _check_threads(threads)
-    return _climb(K, check_criteria(K)[0], max_k, node_budget)
+    return _climb(K, check_criteria(K), max_k, node_budget)
 
 
-def _climb(K: SimplicialComplex, level: int, max_k: int, node_budget: int) -> SRealResult:
-    """The climb of s_real, given the criteria level of K."""
+def _climb(K: SimplicialComplex, criteria: tuple, max_k: int, node_budget: int) -> SRealResult:
+    """The climb of s_real, given the (level, witness) pair of check_criteria(K)."""
+    level, crit_w = criteria
     ub = K.m - K.dimension - 1
     cap = min(ub, max(0, max_k))
+    value = min(level, cap)
     best: Optional[XiWitness] = None
-    value = 0
-    for k in range(1, cap + 1):
-        if level < k <= 3:
-            w = None  # refuted by the criteria
-        elif _gaussian_binomial(K.m, k) <= EXISTENCE_SCAN_LIMIT:
+    if value:
+        # a xi mapping onto non-faces of K is one for K; the existence
+        # filter would scan 2^m vectors for these few non-faces
+        config = SimplicialComplex.from_min_nonsimplex_masks(K.m, crit_w.sets)
+        best = xi_search(config, value, use_existence_filter=False)
+    upper = level if level < 3 else ub  # the criteria refute rank level + 1
+    for k in range(value + 1, min(cap, upper) + 1):
+        if _gaussian_binomial(K.m, k) <= EXISTENCE_SCAN_LIMIT:
             span = _good_span(K, k)
             w = None if span is None else _xi_from_span(K, span, k)
         else:
@@ -662,17 +665,13 @@ def _climb(K: SimplicialComplex, level: int, max_k: int, node_budget: int) -> SR
                     use_existence_filter=False,
                 )
             except SearchBudgetExceeded:
-                mat = xi_to_matrix(K, best) if best else None
-                return SRealResult(value, ub, False, best, mat)
+                break
         if w is None:
-            mat = xi_to_matrix(K, best) if best else None
-            return SRealResult(value, value, True, best, mat)
-        best = w
-        value = k
+            upper = value
+            break
+        best, value = w, k
     mat = xi_to_matrix(K, best) if best else None
-    if value == ub:
-        return SRealResult(value, value, True, best, mat)
-    return SRealResult(value, ub, False, best, mat)
+    return SRealResult(value, upper, value == upper, best, mat)
 
 
 # ---------------------------------------------------------------------------
@@ -1038,15 +1037,15 @@ def analyze(
     node_budget: int = XI_DEFAULT_NODE_BUDGET,
 ) -> InvariantReport:
     """Full report: bounds, criteria level, exact values where determined,
-    and the witnesses backing them. The criteria run first, and the xi
-    climb of s_real ends at rank level + 1 without searching when that rank
-    is at most 3. `threads` is accepted and has no effect."""
+    and the witnesses backing them. The criteria run first and decide
+    ranks 1..3 of the xi climb of s_real, witness included. `threads` is
+    accepted and has no effect."""
     _check_threads(threads)
     nonsimp = K.minimal_nonsimplices()
     dim = K.dimension
     ub = K.m - dim - 1
     level, crit_w = check_criteria(K)
-    sr = _climb(K, level, max_k, node_budget)
+    sr = _climb(K, (level, crit_w), max_k, node_budget)
     cover = cover_lower_bound(K)
     warnings: list[str] = []
     ghosts = tuple(K.ghost_vertices())

@@ -108,14 +108,15 @@ def test_report_interval_rendering():
     from buchstaber.generators import skeleton
 
     # dim 2, so no exact graph value rescues the capped climb; the criteria
-    # level still lifts the verified lower bound to 2
-    rep = analyze(skeleton(5, 2), max_k=1)
+    # level still lifts the verified lower bound to 3 (level 3 refutes no
+    # rank, so the upper bound stays m - dim - 1)
+    rep = analyze(skeleton(6, 2), max_k=1)
     text = formats.report_to_text(rep)
-    assert "s_real(K) in [2, 3]" in text
+    assert "s_real(K) in [3, 4]" in text
     d = formats.report_to_dict(rep)
     assert d["s_real"]["value"] is None and not d["s_real"]["exact"]
     assert d["s_real"]["searched"] == 1
-    assert "s(K) in [2, 3]" in text
+    assert "s(K) in [3, 4]" in text
 
 
 def run_cli(tmp_path, *args):
@@ -196,13 +197,13 @@ def test_cli_sreal_and_criteria_full_output(tmp_path):
         sq: (
             0,
             "s_real(K) = 2 (exact)\n"
-            "xi witness: 1 -> {1,3}; 2 -> {2,4}; 3 -> {1,3}\n"
-            "matrix witness (gf2, k=2): [1 0] [0 1] [1 0] [0 1]\n",
+            "xi witness: 1 -> {1,3}; 2 -> {1,3}; 3 -> {2,4}\n"
+            "matrix witness (gf2, k=2): [1 1] [1 0] [1 1] [1 0]\n",
             {
                 "lower": 2, "upper": 2, "exact": True, "value": 2,
-                "xi_witness": {"1": [1, 3], "2": [2, 4], "3": [1, 3]},
+                "xi_witness": {"1": [1, 3], "2": [1, 3], "3": [2, 4]},
                 "matrix_witness": {
-                    "ring": "gf2", "k": 2, "rows": [[1, 0], [0, 1], [1, 0], [0, 1]],
+                    "ring": "gf2", "k": 2, "rows": [[1, 1], [1, 0], [1, 1], [1, 0]],
                 },
             },
             "criteria level = 2 (case 2: {1,3}, {2,4})\n",
@@ -211,14 +212,14 @@ def test_cli_sreal_and_criteria_full_output(tmp_path):
         p8: (
             2,
             "s_real(K) in [2, 7]\n"
-            "xi witness: 1 -> {1,2}; 2 -> {1,3}; 3 -> {2,3}\n"
-            "matrix witness (gf2, k=2): [1 1] [1 0] [0 1] [0 0] [0 0] [0 0] [0 0] [0 0]\n",
+            "xi witness: 1 -> {1,2}; 2 -> {1,2}; 3 -> {3,4}\n"
+            "matrix witness (gf2, k=2): [1 1] [1 1] [1 0] [1 0] [0 0] [0 0] [0 0] [0 0]\n",
             {
                 "lower": 2, "upper": 7, "exact": False, "value": None,
-                "xi_witness": {"1": [1, 2], "2": [1, 3], "3": [2, 3]},
+                "xi_witness": {"1": [1, 2], "2": [1, 2], "3": [3, 4]},
                 "matrix_witness": {
                     "ring": "gf2", "k": 2,
-                    "rows": [[1, 1], [1, 0], [0, 1]] + [[0, 0]] * 5,
+                    "rows": [[1, 1], [1, 1], [1, 0], [1, 0]] + [[0, 0]] * 4,
                 },
             },
             "criteria level = 3 (case 5: {1,2}, {3,4}, {5,6})\n",

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from buchstaber import gf2, invariant, zlattice
+from buchstaber.cli import main
 from buchstaber.complexes import SimplicialComplex, face_mask, face_vertices
 from buchstaber.generators import (
     boundary_simplex,
@@ -304,7 +305,13 @@ def test_xi_witness_read_off_subspace():
         for a, om in w.assignment.items():
             inside = [x for x in nonsimp if x & ~span[a] == 0]
             assert om == inside[0]
-        assert s_real(K).xi_witness == w
+        # at rank 3 the criteria decide, and s_real reports the
+        # canonical-first xi mapping onto the matched configuration
+        config = SimplicialComplex.from_min_nonsimplex_masks(K.m, check_criteria(K)[1].sets)
+        assert s_real(K).xi_witness == xi_search(config, 3)
+    # from rank 4 on the witness is read off the subspace
+    K = points(5)
+    assert s_real(K).xi_witness == _xi_from_span(K, _good_span(K, 4), 4)
 
 
 def test_s_real_witnesses_lift_on_corpora(random_corpus, named_corpus):
@@ -331,25 +338,28 @@ def test_analyze_criteria_match_check_criteria(random_corpus, named_corpus):
         assert (rep.criteria_level, rep.criterion_witness) == check_criteria(K)
 
 
-def test_criteria_end_the_climb_at_rank_3(monkeypatch):
+def test_criteria_end_the_climb_at_rank_3(monkeypatch, random_corpus, named_corpus):
     # C^7(10) has level 2 and upper bound 3; rank 3 lies above the subspace
     # scan's cap, and refuting it by backtracking takes thousands of nodes.
-    # The criteria refute it without a search at rank 3
+    # The criteria decide ranks 1..3 on every complex: no search runs on K
+    # itself below rank 4, only on the complex of the matched configuration
     K = cyclic_polytope_boundary(7, 10)
     r = s_real(K, max_k=3)
     assert (r.lower, r.upper, r.exact) == (2, 2, True)
-    rep = analyze(K, max_k=3)
+    family = [K] + list(random_corpus) + list(named_corpus)
+    before = [(s_real(K), analyze(K)) for K in family]
+    analysed = None
 
-    def refusing_rank_3(search):
-        def wrapped(K, k, *args, **kwargs):
-            assert k != 3, "rank 3 was searched"
-            return search(K, k, *args, **kwargs)
+    def refusing_low_ranks_on_K(search):
+        def wrapped(L, k, *args, **kwargs):
+            assert not (k <= 3 and L is analysed), f"rank {k} was searched on K"
+            return search(L, k, *args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(invariant, "_good_span", refusing_rank_3(invariant._good_span))
-    monkeypatch.setattr(invariant, "xi_search", refusing_rank_3(invariant.xi_search))
-    assert s_real(K, max_k=3) == r
-    assert analyze(K, max_k=3) == rep
+    monkeypatch.setattr(invariant, "_good_span", refusing_low_ranks_on_K(invariant._good_span))
+    monkeypatch.setattr(invariant, "xi_search", refusing_low_ranks_on_K(invariant.xi_search))
+    for analysed, expected in zip(family, before):
+        assert (s_real(analysed), analyze(analysed)) == expected
 
 
 def criteria_level_by_full_scans(K):
@@ -521,7 +531,9 @@ def test_level3_scan_matches_naive_scan_on_corpora(
         assert _find_s3(ns) == naive_find_s3(ns), K
 
 
-def test_level3_scan_matches_naive_scan_on_polytopes_and_skeleta():
+def polytopes_and_skeleta():
+    """Cyclic polytopes, skeleta and joins that between them reach every
+    criteria outcome."""
     family = [
         cyclic_polytope_boundary(d, n) for n in range(4, 11) for d in range(2, n - 1)
     ]
@@ -533,19 +545,60 @@ def test_level3_scan_matches_naive_scan_on_polytopes_and_skeleta():
     avoiding = [
         sum(1 << i for i, line in enumerate(fano) if p not in line) for p in range(1, 8)
     ]
-    family += [
+    return family + [
         SimplicialComplex.from_min_nonsimplex_masks(7, avoiding),
         join(cycle(5), cycle(5)),
         join(join(boundary_simplex(2), boundary_simplex(2)), boundary_simplex(3)),
         join(cycle(6), boundary_simplex(3)),
     ]
+
+
+def test_level3_scan_matches_naive_scan_on_polytopes_and_skeleta():
     found = set()
-    for K in family:
+    for K in polytopes_and_skeleta():
         ns = K.minimal_nonsimplices()
         w = _find_s3(ns)
         assert w == naive_find_s3(ns), K
         found.add(w and w.case)
     assert found == {None, 1, 2, 3, 4, 5}
+
+
+def test_every_criteria_outcome_gives_a_valid_witness():
+    # at each rank r up to the level, the reported witness is a xi mapping
+    # of rank r onto the non-faces of the matched configuration
+    outcomes = set()
+    for K in polytopes_and_skeleta():
+        level, crit_w = check_criteria(K)
+        if crit_w is None:
+            continue
+        outcomes.add((level, crit_w.case))
+        for r in range(1, level + 1):
+            w = s_real(K, max_k=r).xi_witness
+            assert w.k == r and validate_xi(K, w), (K, r)
+            assert set(w.assignment.values()) <= set(crit_w.sets), (K, r)
+    assert outcomes == {(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (3, 4), (3, 5)}
+
+
+def test_s_real_exact_when_max_k_reaches_a_level_below_3(tmp_path):
+    # level 2 refutes rank 3, so capping the climb at 2 loses nothing
+    K = cyclic_polytope_boundary(7, 10)
+    r = s_real(K, max_k=2)
+    assert (r.lower, r.upper, r.exact) == (2, 2, True)
+    rep = analyze(K, max_k=2)
+    assert (rep.s_real_lower, rep.s_real_upper, rep.s_real_exact) == (2, 2, True)
+    assert (rep.s_lower, rep.s_upper, rep.s_exact) == (2, 2, True)
+    assert not rep.warnings
+    # below the level the climb stops short, yet the level bounds it above
+    K = skeleton(5, 2)
+    r = s_real(K, max_k=1)
+    assert (r.lower, r.upper, r.exact) == (1, 2, False)
+    rep = analyze(K, max_k=1)
+    assert (rep.s_real_lower, rep.s_real_upper, rep.s_lower, rep.s_upper) == (2, 2, 2, 2)
+    path = tmp_path / "c7_10.cplx"
+    assert main(["gen", "cyclic", "7", "10", "-o", str(path)]) == 0
+    out = tmp_path / "out.txt"
+    assert main(["sreal", str(path), "--max-k", "2", "-o", str(out)]) == 0
+    assert out.read_text().startswith("s_real(K) = 2 (exact)\n")
 
 
 @st.composite
@@ -589,6 +642,29 @@ def test_criteria_decide_xi_existence_up_to_rank_3(K):
     for k in (1, 2, 3):
         found = xi_search(K, k, use_existence_filter=False)
         assert (level >= k) == (found is not None), k
+    # the reported witness has the decided rank, and its 0/1 lift passes
+    # over the integers (at k <= 3 an odd 0/1 determinant is +-1)
+    r = s_real(K, max_k=3)
+    rank = min(level, K.m - K.dimension - 1)
+    if rank == 0:
+        assert r.xi_witness is None
+        return
+    assert r.xi_witness.k == rank and validate_xi(K, r.xi_witness)
+    int_rows = [[row >> j & 1 for j in range(rank)] for row in r.matrix_rows]
+    assert verify_S(K, int_rows, rank, "int")
+
+
+@settings(max_examples=150)
+@given(antichain_complexes())
+def test_analyze_bounds_are_ordered(K):
+    # s <= s_R <= m - dim - 1 on both ends, and the searched rank is the
+    # rank of the reported witness, which is valid
+    rep = analyze(K)
+    assert rep.s_lower <= rep.s_real_lower
+    assert rep.s_upper <= rep.s_real_upper <= rep.upper_bound
+    w = rep.xi_witness
+    assert rep.s_real_searched == (w.k if w else 0)
+    assert w is None or validate_xi(K, w)
 
 
 def test_level3_scan_closes_the_skeleton_cliff():
