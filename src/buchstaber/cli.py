@@ -102,7 +102,7 @@ def _cmd_sreal(args) -> int:
     K = formats.load_complex(args.input)
     r = s_real(K, max_k=args.max_k, threads=args.threads)
     if args.json:
-        text = json.dumps(formats.s_real_to_dict(r, K.m), indent=2) + "\n"
+        text = formats.json_text(formats.s_real_to_dict(r, K.m))
     else:
         text = formats.s_real_to_text(r, K.m)
     _write(text, args.out)
@@ -112,7 +112,7 @@ def _cmd_sreal(args) -> int:
 def _cmd_criteria(args) -> int:
     level, w = check_criteria(formats.load_complex(args.input))
     if args.json:
-        text = json.dumps(formats.criteria_to_dict(level, w), indent=2) + "\n"
+        text = formats.json_text(formats.criteria_to_dict(level, w))
     else:
         text = formats.criteria_to_text(level, w)
     _write(text, args.out)
@@ -167,7 +167,7 @@ def _cmd_verify(args) -> int:
             "ok": ok,
             "failing_simplex": None if failing is None else face_vertices(failing),
         }
-        text = json.dumps(obj, indent=2) + "\n"
+        text = formats.json_text(obj)
     else:
         if ok:
             text = "PASS\n"
@@ -184,7 +184,7 @@ def _cmd_oracle(args) -> int:
         oracle_check(K, k, threads=args.threads) for k in range(1, args.max_k + 1)
     ]
     if args.json:
-        text = json.dumps(results, indent=2) + "\n"
+        text = formats.json_text(results)
     else:
         lines = []
         for r in results:
@@ -219,7 +219,7 @@ def _cmd_lemma23(args) -> int:
             ],
             "pattern_dets": [{"k": k, "det": d} for k, d in dets],
         }
-        text = json.dumps(obj, indent=2) + "\n"
+        text = formats.json_text(obj)
     else:
         lines = []
         for n, hit in scan:

@@ -21,6 +21,49 @@ from .complexes import SimplicialComplex, face_mask, face_vertices
 from .invariant import CriterionWitness, InvariantReport, SRealResult, XiWitness
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
+def json_text(obj) -> str:
+    """Exactly json.dumps(obj, indent=2) + "\n", for the package's JSON
+    values: str-keyed dicts, lists and tuples, ints, bools, None and str.
+
+    json.dumps falls back to its pure-Python encoder whenever an indent is
+    set; this writer joins strings recursively instead, with the stdlib's
+    own string escaping. Anything else raises TypeError.
+    """
+    return _json_value(obj, "\n") + "\n"
+
+
+def _json_value(obj, pad: str) -> str:
+    """obj rendered with `pad` (a newline and the current indent) before
+    each closing bracket and two more spaces before each member. Types are
+    matched exactly; a key that is not a str fails in _escape."""
+    t = type(obj)
+    if t is str:
+        return _escape(obj)
+    if t is int:
+        return int.__repr__(obj)
+    if t is list or t is tuple:
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join([_json_value(v, inner) for v in obj]) + pad + "]"
+    if t is dict:
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        members = [_escape(k) + ": " + _json_value(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(members) + pad + "}"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
 def parse_complex_text(text: str) -> SimplicialComplex:
     m = None
     facets: list[list[int]] = []
@@ -257,7 +300,7 @@ def report_to_dict(report: InvariantReport) -> dict:
 
 
 def report_to_json(report: InvariantReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2) + "\n"
+    return json_text(report_to_dict(report))
 
 
 def report_to_text(report: InvariantReport) -> str:

@@ -359,10 +359,10 @@ def xi_search(
     the matrix condition (use_existence_filter); the backtracking itself
     settles the remaining cases. `threads` is accepted and has no effect.
 
-    `s_real` and `analyze` report this witness at ranks <= 3, searched on
-    the complex of the matched criteria configuration. At ranks >= 4 they
-    read one off the subspace scan instead, and call this search on K only
-    above EXISTENCE_SCAN_LIMIT.
+    `s_real` and `analyze` never call it at ranks <= 3, where the witness
+    is read off the matched criteria configuration through
+    CRITERION_XI_SLOTS. At ranks >= 4 they read one off the subspace scan,
+    and call this search on K only above EXISTENCE_SCAN_LIMIT.
     """
     _check_threads(threads)
     if k < 0:
@@ -631,7 +631,8 @@ def s_real(
     The criteria of check_criteria alone decide ranks 1..3: a xi mapping of
     rank r <= 3 exists iff the level is at least r, so a level below 3
     bounds the value whatever max_k is. The witness at r = min(level, max_k)
-    is the canonical-first xi mapping onto the matched configuration. Higher
+    maps each vector of Z_2^r to the matched configuration's non-face in the
+    slot CRITERION_XI_SLOTS gives it; no search runs below rank 4. Higher
     ranks go to the subspace scan of xi_witness_exists, whose subspace gives
     the witness, or, where [m choose k]_2 exceeds EXISTENCE_SCAN_LIMIT, to
     the backtracking xi_search under node_budget. `threads` is accepted and
@@ -649,10 +650,8 @@ def _climb(K: SimplicialComplex, criteria: tuple, max_k: int, node_budget: int) 
     value = min(level, cap)
     best: Optional[XiWitness] = None
     if value:
-        # a xi mapping onto non-faces of K is one for K; the existence
-        # filter would scan 2^m vectors for these few non-faces
-        config = SimplicialComplex.from_min_nonsimplex_masks(K.m, crit_w.sets)
-        best = xi_search(config, value, use_existence_filter=False)
+        slots = CRITERION_XI_SLOTS[crit_w.level, crit_w.case]
+        best = XiWitness(value, {a: crit_w.sets[slots[a - 1]] for a in range(1, 1 << value)})
     upper = level if level < 3 else ub  # the criteria refute rank level + 1
     for k in range(value + 1, min(cap, upper) + 1):
         if _gaussian_binomial(K.m, k) <= EXISTENCE_SCAN_LIMIT:
@@ -712,6 +711,26 @@ S3_SLOT_ORDER: dict[int, tuple[tuple[int, int], ...]] = {
     2: ((2, 4), (2, 5), (2, 6), (4, 5)),
     1: ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7),
         (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 5), (3, 6), (3, 7)),
+}
+
+
+# Per (level, case) of a CriterionWitness: entry a - 1 is the 0-based slot
+# whose non-face xi maps the vector a of Z_2^level to. Every odd circuit of
+# Z_2^level uses a set of slots that contains one of the case's constraints,
+# so the mapping is valid on every configuration of the case. Each entry is
+# the canonical-first xi mapping on the case's generic configuration, where
+# only the constraints have empty intersections (the tests rebuild it and
+# search it again). Rank r < level takes the
+# first 2^r - 1 entries: an odd circuit of Z_2^r is one of Z_2^level.
+CRITERION_XI_SLOTS: dict[tuple[int, int], tuple[int, ...]] = {
+    (1, 1): (0,),
+    (2, 2): (0, 0, 1),
+    (2, 1): (0, 1, 2),
+    (3, 5): (0, 0, 1, 0, 1, 2, 0),
+    (3, 4): (0, 0, 1, 0, 2, 3, 0),
+    (3, 3): (0, 0, 1, 4, 4, 2, 3),
+    (3, 2): (0, 0, 2, 1, 3, 4, 5),
+    (3, 1): (0, 1, 3, 2, 4, 5, 6),
 }
 
 
@@ -1038,8 +1057,9 @@ def analyze(
 ) -> InvariantReport:
     """Full report: bounds, criteria level, exact values where determined,
     and the witnesses backing them. The criteria run first and decide
-    ranks 1..3 of the xi climb of s_real, witness included. `threads` is
-    accepted and has no effect."""
+    ranks 1..3 of the xi climb of s_real; the witness at those ranks is read
+    off the matched configuration through CRITERION_XI_SLOTS, without a
+    search. `threads` is accepted and has no effect."""
     _check_threads(threads)
     nonsimp = K.minimal_nonsimplices()
     dim = K.dimension

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from buchstaber import formats
 from buchstaber.cli import main
@@ -102,6 +104,33 @@ def test_report_text_and_json_agree():
     assert f"cover bound = {d['cover']['value']}" in text
     assert f"s_real(K) = {d['s_real']['value']} (exact)" in text
     assert text.rstrip().endswith(f"s(K) = {d['s']['value']} (exact)")
+
+
+# text() draws non-ASCII and control characters; the samples pin a few
+json_strings = st.text() | st.sampled_from(
+    ["", "\x00\x1f\x7f", "\u00e9\u2028", "\U0001f600", '"\\/']
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**80), 2**80) | json_strings,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(json_strings, inner, max_size=4)
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=400)
+@given(json_values)
+def test_json_text_matches_the_stdlib_indent_encoder(obj):
+    assert formats.json_text(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+def test_json_text_rejects_other_values():
+    for bad in (1.5, {1, 2}, [0.0], {"k": {3}}, {1: "int key"}):
+        with pytest.raises(TypeError):
+            formats.json_text(bad)
 
 
 def test_report_interval_rendering():
@@ -233,6 +262,33 @@ def test_cli_sreal_and_criteria_full_output(tmp_path):
         )
         assert run_cli(tmp_path, "criteria", str(path)) == (0, crit_text)
         assert run_cli(tmp_path, "criteria", str(path), "--json") == (0, as_json(crit_obj))
+
+
+def test_cli_json_verbs_print_the_stdlib_indent_encoding(tmp_path):
+    # each --json verb prints its object exactly as json.dumps(indent=2)
+    # would; read back, the object renders to the same bytes
+    c5 = tmp_path / "c5.cplx"
+    p3 = tmp_path / "p3.cplx"
+    main(["gen", "cycle", "5", "-o", str(c5)])
+    main(["gen", "points", "3", "-o", str(p3)])
+    mat = tmp_path / "m.txt"
+    mat.write_text("1 0\n0 1\n1 1\n")
+    bad = tmp_path / "bad.txt"
+    bad.write_text("1 0\n1 0\n0 1\n")
+    runs = [
+        ("analyze", str(c5)),
+        ("analyze", str(p3), "--polytopal"),
+        ("sreal", str(c5)),
+        ("criteria", str(c5)),
+        ("verify", str(p3), str(mat), "--ring", "int"),
+        ("verify", str(p3), str(bad), "--ring", "gf2"),
+        ("oracle", str(p3)),
+        ("lemma23",),
+    ]
+    for args in runs:
+        code, out = run_cli(tmp_path, *args, "--json")
+        assert code == 0 and out, args
+        assert out == as_json(json.loads(out)), args
 
 
 def test_cli_sreal_guard_exit_code(tmp_path):

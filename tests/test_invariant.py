@@ -1,6 +1,6 @@
 """Freeness conditions, xi search, exact values, criteria, and bounds."""
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +21,7 @@ from buchstaber.generators import (
     skeleton,
 )
 from buchstaber.invariant import (
+    CRITERION_XI_SLOTS,
     S3_CONFIGURATIONS,
     S3_SLOT_ORDER,
     CriterionWitness,
@@ -292,6 +293,12 @@ def test_xi_witness_read_off_subspace():
     # the witness maps a to the first minimal non-face inside M a
     from buchstaber.invariant import _good_span, _xi_from_span
 
+    # at rank 3 the criteria decide, and s_real reads the witness off the
+    # matched configuration; the expected witnesses are pinned literally
+    table_witnesses = {
+        5: {1: [1, 3], 2: [1, 3], 3: [2, 4], 4: [2, 5], 5: [2, 5], 6: [1, 4], 7: [3, 5]},
+        4: {1: [1, 2], 2: [1, 2], 3: [3, 4], 4: [1, 3], 5: [2, 3], 6: [2, 4], 7: [1, 4]},
+    }
     for K in (cycle(5), points(4)):
         span = _good_span(K, 3)
         assert span is not None and len(span) == 8
@@ -305,10 +312,8 @@ def test_xi_witness_read_off_subspace():
         for a, om in w.assignment.items():
             inside = [x for x in nonsimp if x & ~span[a] == 0]
             assert om == inside[0]
-        # at rank 3 the criteria decide, and s_real reports the
-        # canonical-first xi mapping onto the matched configuration
-        config = SimplicialComplex.from_min_nonsimplex_masks(K.m, check_criteria(K)[1].sets)
-        assert s_real(K).xi_witness == xi_search(config, 3)
+        expected = {a: face_mask(vs, K.m) for a, vs in table_witnesses[K.m].items()}
+        assert s_real(K).xi_witness == XiWitness(3, expected)
     # from rank 4 on the witness is read off the subspace
     K = points(5)
     assert s_real(K).xi_witness == _xi_from_span(K, _good_span(K, 4), 4)
@@ -341,25 +346,83 @@ def test_analyze_criteria_match_check_criteria(random_corpus, named_corpus):
 def test_criteria_end_the_climb_at_rank_3(monkeypatch, random_corpus, named_corpus):
     # C^7(10) has level 2 and upper bound 3; rank 3 lies above the subspace
     # scan's cap, and refuting it by backtracking takes thousands of nodes.
-    # The criteria decide ranks 1..3 on every complex: no search runs on K
-    # itself below rank 4, only on the complex of the matched configuration
+    # The criteria decide ranks 1..3 on every complex and the slot table
+    # gives their witness: no search runs below rank 4, on K or on any
+    # complex built from the matched configuration
     K = cyclic_polytope_boundary(7, 10)
     r = s_real(K, max_k=3)
     assert (r.lower, r.upper, r.exact) == (2, 2, True)
     family = [K] + list(random_corpus) + list(named_corpus)
     before = [(s_real(K), analyze(K)) for K in family]
-    analysed = None
 
-    def refusing_low_ranks_on_K(search):
+    def refusing_low_ranks(search):
         def wrapped(L, k, *args, **kwargs):
-            assert not (k <= 3 and L is analysed), f"rank {k} was searched on K"
+            assert k > 3, f"rank {k} was searched"
             return search(L, k, *args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(invariant, "_good_span", refusing_low_ranks_on_K(invariant._good_span))
-    monkeypatch.setattr(invariant, "xi_search", refusing_low_ranks_on_K(invariant.xi_search))
+    def refusing_configuration_complexes(cls, m, masks):
+        raise AssertionError("a complex was built from non-faces")
+
+    monkeypatch.setattr(invariant, "_good_span", refusing_low_ranks(invariant._good_span))
+    monkeypatch.setattr(invariant, "xi_search", refusing_low_ranks(invariant.xi_search))
+    monkeypatch.setattr(
+        SimplicialComplex, "from_min_nonsimplex_masks",
+        classmethod(refusing_configuration_complexes),
+    )
     for analysed, expected in zip(family, before):
         assert (s_real(analysed), analyze(analysed)) == expected
+
+
+# Per (level, case) of a criteria witness: its slot count and its
+# empty-intersection constraints on 1-based slots.
+CRITERION_CASES = {
+    (1, 1): (1, ()),
+    (2, 2): (2, ((1, 2),)),
+    (2, 1): (3, ((1, 2, 3),)),
+    **{(3, case): (size, cons) for case, size, cons in S3_CONFIGURATIONS},
+}
+
+
+def test_criterion_xi_slots_map_every_odd_circuit_onto_a_constraint():
+    # at every rank r <= level, each odd circuit of Z_2^r meets a set of
+    # slots containing a constraint, so its images have empty intersection
+    # on every configuration of the case
+    assert set(CRITERION_XI_SLOTS) == set(CRITERION_CASES)
+    for (level, case), slots in CRITERION_XI_SLOTS.items():
+        size, constraints = CRITERION_CASES[level, case]
+        assert len(slots) == (1 << level) - 1
+        assert set(slots) <= set(range(size))
+        for r in range(1, level + 1):
+            for circuit in gf2.odd_circuits(r):
+                used = {slots[a - 1] + 1 for a in circuit}
+                assert any(used >= set(c) for c in constraints), (level, case, r, circuit)
+
+
+def generic_configuration(size, constraints):
+    """(m, non-faces) in which a set of slots has a common vertex exactly
+    when it contains no constraint: slot i owns vertex i + 1, and each
+    maximal constraint-free set of slots shares one more vertex."""
+    free = [
+        set(t)
+        for n in range(2, size + 1)
+        for t in combinations(range(size), n)
+        if not any({p - 1 for p in c} <= set(t) for c in constraints)
+    ]
+    maximal = [t for t in free if not any(t < u for u in free)]
+    masks = [1 << i for i in range(size)]
+    for v, t in enumerate(maximal, size):
+        for i in t:
+            masks[i] |= 1 << v
+    return size + len(maximal), masks
+
+
+def test_criterion_xi_slots_are_the_generic_configuration_search_witnesses():
+    for (level, case), slots in CRITERION_XI_SLOTS.items():
+        m, masks = generic_configuration(*CRITERION_CASES[level, case])
+        K = SimplicialComplex.from_min_nonsimplex_masks(m, masks)
+        w = xi_search(K, level, use_existence_filter=False)
+        assert tuple(masks.index(w.assignment[a]) for a in range(1, 1 << level)) == slots
 
 
 def criteria_level_by_full_scans(K):
