@@ -89,9 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_analyze(args) -> int:
     K = formats.load_complex(args.input)
-    report = analyze(
-        K, polytopal=args.polytopal, max_k=args.max_k, threads=args.threads
-    )
+    report = analyze(K, polytopal=args.polytopal, max_k=args.max_k)
     text = formats.report_to_json(report) if args.json else formats.report_to_text(report)
     _write(text, args.out)
     guard_hit = not report.s_real_exact or report.cover.heuristic
@@ -100,7 +98,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_sreal(args) -> int:
     K = formats.load_complex(args.input)
-    r = s_real(K, max_k=args.max_k, threads=args.threads)
+    r = s_real(K, max_k=args.max_k)
     if args.json:
         text = formats.json_text(formats.s_real_to_dict(r, K.m))
     else:
@@ -180,9 +178,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_oracle(args) -> int:
     K = formats.load_complex(args.input)
-    results = [
-        oracle_check(K, k, threads=args.threads) for k in range(1, args.max_k + 1)
-    ]
+    results = [oracle_check(K, k) for k in range(1, args.max_k + 1)]
     if args.json:
         text = formats.json_text(results)
     else:
@@ -251,6 +247,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "threads", 0) < 0:
+            raise ValueError("thread count must be >= 0")
         return _DISPATCH[args.verb](args)
     except SearchBudgetExceeded as exc:
         print(f"resource guard: {exc}", file=sys.stderr)

@@ -23,13 +23,15 @@ INT = "int"
 
 XI_DEFAULT_GUARD = 4
 XI_DEFAULT_NODE_BUDGET = 400_000
+SCAN_DEFAULT_CANDIDATE_BUDGET = 400_000
 SREAL_DEFAULT_MAX_K = 5
 COVER_SEARCH_GUARD = 40
 MATRIX_SCAN_BIT_LIMIT = 16
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """A backtracking search hit its deterministic node budget."""
+    """A search used up its deterministic work budget for the call: the
+    subspace scan its candidate tests, or xi_search its nodes."""
 
 
 def _check_ring(ring: str) -> None:
@@ -44,6 +46,19 @@ def _check_threads(threads: int) -> None:
         raise ValueError("thread count must be >= 0")
 
 
+def _check_gf2_width(rows: Sequence[int], width: int) -> None:
+    if any(r >> width for r in rows):
+        raise ValueError(f"GF(2) row masks must have at most {width} bits")
+
+
+def _check_rows(K: SimplicialComplex, rows: Sequence, k: int, ring: str) -> None:
+    _check_ring(ring)
+    if len(rows) != K.m:
+        raise ValueError(f"matrix has {len(rows)} rows, complex has {K.m} vertices")
+    if ring == GF2:
+        _check_gf2_width(rows, k)
+
+
 # ---------------------------------------------------------------------------
 # matrix freeness conditions
 
@@ -56,9 +71,7 @@ def verify_S(K: SimplicialComplex, rows: Sequence, k: int, ring: str) -> bool:
 
 def verify_S_detailed(K: SimplicialComplex, rows: Sequence, k: int, ring: str):
     """Like verify_S but also reports the first failing maximal simplex."""
-    _check_ring(ring)
-    if len(rows) != K.m:
-        raise ValueError(f"matrix has {len(rows)} rows, complex has {K.m} vertices")
+    _check_rows(K, rows, k, ring)
     for sigma in K.facets:
         outside = [rows[i] for i in range(K.m) if not sigma >> i & 1]
         if ring == GF2:
@@ -85,7 +98,9 @@ def verify_Lambda_detailed(K: SimplicialComplex, rows: Sequence, ring: str):
     _check_ring(ring)
     if len(rows) == 0:
         return True, None
-    if ring == INT and any(len(r) != K.m for r in rows):
+    if ring == GF2:
+        _check_gf2_width(rows, K.m)
+    elif any(len(r) != K.m for r in rows):
         raise ValueError("dual matrix rows must have one entry per vertex")
     for sigma in K.facets:
         r = sigma.bit_count()
@@ -156,9 +171,7 @@ def _projective_reps(p: int, k: int):
 def verify_nonsimplex_condition(K: SimplicialComplex, rows: Sequence, k: int, ring: str) -> bool:
     """Every nonzero vector must pair to nonzero with all rows of some
     minimal non-face (over GF(2), or mod every relevant prime)."""
-    _check_ring(ring)
-    if len(rows) != K.m:
-        raise ValueError(f"matrix has {len(rows)} rows, complex has {K.m} vertices")
+    _check_rows(K, rows, k, ring)
     nonsimp = K.minimal_nonsimplices()
     if k == 0:
         return True
@@ -252,9 +265,9 @@ def xi_witness_exists(K: SimplicialComplex, k: int) -> Optional[bool]:
     """Decide whether a rank-k xi mapping exists, via the subspace form of
     the matrix condition: one exists iff some k-dimensional subspace of
     Z_2^m consists (nonzero part) of vectors whose support contains a
-    minimal non-face. Returns None when the subspace space is too large to
-    scan; never returns a wrong answer. At ranks >= 4 `s_real` reads its
-    witness off the subspace found here (see _good_span).
+    minimal non-face. Returns None when [m choose k]_2 exceeds
+    EXISTENCE_SCAN_LIMIT; never returns a wrong answer. `s_real` runs the
+    same scan at every rank >= 4, under its budget above that limit.
     """
     if k == 0:
         return True
@@ -265,14 +278,16 @@ def xi_witness_exists(K: SimplicialComplex, k: int) -> Optional[bool]:
     return _good_span(K, k) is not None
 
 
-def _good_span(K: SimplicialComplex, k: int) -> Optional[list[int]]:
+def _good_span(K: SimplicialComplex, k: int, budget: Optional[list] = None) -> Optional[list[int]]:
     """A k-dimensional subspace of Z_2^m whose nonzero vectors each contain
     a minimal non-face, or None. Entry a of the returned list is the vector
     M a, where column j of M is the j-th basis vector found.
 
     Enumeration visits each subspace once through its unique increasing
     basis of coset minima, pruning as soon as a bad vector enters the span.
-    The scan is exhaustive; callers bound it by EXISTENCE_SCAN_LIMIT.
+    Without `budget` the scan is exhaustive; with it, each candidate vector
+    tested takes one unit from `budget[0]`, which callers may share across
+    scans, and SearchBudgetExceeded is raised when none is left.
     """
     nonsimp = K.minimal_nonsimplices()
     m = K.m
@@ -291,6 +306,10 @@ def _good_span(K: SimplicialComplex, k: int) -> Optional[list[int]]:
         if depth == k:
             return True
         for b in range(start, 1 << m):
+            if budget is not None:
+                budget[0] -= 1
+                if budget[0] < 0:
+                    raise SearchBudgetExceeded(f"subspace scan at k={k} ran out of its budget")
             if not good(b):
                 continue
             # unique generation: b must be the minimum of its coset
@@ -359,10 +378,9 @@ def xi_search(
     the matrix condition (use_existence_filter); the backtracking itself
     settles the remaining cases. `threads` is accepted and has no effect.
 
-    `s_real` and `analyze` never call it at ranks <= 3, where the witness
-    is read off the matched criteria configuration through
-    CRITERION_XI_SLOTS. At ranks >= 4 they read one off the subspace scan,
-    and call this search on K only above EXISTENCE_SCAN_LIMIT.
+    `s_real` and `analyze` never call it: the criteria decide ranks <= 3
+    and the subspace scan every higher rank. It is the independent
+    reference the oracle and the tests check them against.
     """
     _check_threads(threads)
     if k < 0:
@@ -554,14 +572,12 @@ def xi_to_matrix(K: SimplicialComplex, w: XiWitness) -> list[int]:
     return rows
 
 
-def matrix_search(K: SimplicialComplex, k: int, *, threads: int = 1) -> Optional[list[int]]:
+def matrix_search(K: SimplicialComplex, k: int) -> Optional[list[int]]:
     """Exhaustive-scan oracle: first m x k GF(2) matrix passing verify_S.
 
     Matrices are ordered by their row tuples (first row most significant).
-    Intended for cross-validation at tiny sizes only. `threads` is accepted
-    and has no effect.
+    Intended for cross-validation at tiny sizes only.
     """
-    _check_threads(threads)
     m = K.m
     if k == 0:
         return [0] * m
@@ -622,23 +638,21 @@ def s_real(
     K: SimplicialComplex,
     *,
     max_k: int = SREAL_DEFAULT_MAX_K,
-    threads: int = 1,
-    node_budget: int = XI_DEFAULT_NODE_BUDGET,
+    node_budget: int = SCAN_DEFAULT_CANDIDATE_BUDGET,
 ) -> SRealResult:
     """Largest k admitting a xi mapping, or a certified interval when the
-    k cap or the node budget stops the climb.
+    k cap or the budget stops the climb.
 
     The criteria of check_criteria alone decide ranks 1..3: a xi mapping of
     rank r <= 3 exists iff the level is at least r, so a level below 3
     bounds the value whatever max_k is. The witness at r = min(level, max_k)
     maps each vector of Z_2^r to the matched configuration's non-face in the
-    slot CRITERION_XI_SLOTS gives it; no search runs below rank 4. Higher
-    ranks go to the subspace scan of xi_witness_exists, whose subspace gives
-    the witness, or, where [m choose k]_2 exceeds EXISTENCE_SCAN_LIMIT, to
-    the backtracking xi_search under node_budget. `threads` is accepted and
-    has no effect.
+    slot CRITERION_XI_SLOTS gives it; no search runs below rank 4. Every
+    higher rank is decided by the subspace scan of xi_witness_exists, whose
+    subspace gives the witness. The scan is exhaustive where [m choose k]_2
+    is at most EXISTENCE_SCAN_LIMIT; above it, node_budget bounds the
+    candidate vectors tested, summed over all ranks of the call.
     """
-    _check_threads(threads)
     return _climb(K, check_criteria(K), max_k, node_budget)
 
 
@@ -653,22 +667,17 @@ def _climb(K: SimplicialComplex, criteria: tuple, max_k: int, node_budget: int) 
         slots = CRITERION_XI_SLOTS[crit_w.level, crit_w.case]
         best = XiWitness(value, {a: crit_w.sets[slots[a - 1]] for a in range(1, 1 << value)})
     upper = level if level < 3 else ub  # the criteria refute rank level + 1
+    left = [node_budget]  # shared by the scans above EXISTENCE_SCAN_LIMIT
     for k in range(value + 1, min(cap, upper) + 1):
-        if _gaussian_binomial(K.m, k) <= EXISTENCE_SCAN_LIMIT:
-            span = _good_span(K, k)
-            w = None if span is None else _xi_from_span(K, span, k)
-        else:
-            try:
-                w = xi_search(
-                    K, k, allow_large=True, node_budget=node_budget,
-                    use_existence_filter=False,
-                )
-            except SearchBudgetExceeded:
-                break
-        if w is None:
+        capped = _gaussian_binomial(K.m, k) > EXISTENCE_SCAN_LIMIT
+        try:
+            span = _good_span(K, k, left if capped else None)
+        except SearchBudgetExceeded:
+            break
+        if span is None:
             upper = value
             break
-        best, value = w, k
+        best, value = _xi_from_span(K, span, k), k
     mat = xi_to_matrix(K, best) if best else None
     return SRealResult(value, upper, value == upper, best, mat)
 
@@ -1053,13 +1062,14 @@ def analyze(
     polytopal: bool = False,
     max_k: int = SREAL_DEFAULT_MAX_K,
     threads: int = 1,
-    node_budget: int = XI_DEFAULT_NODE_BUDGET,
+    node_budget: int = SCAN_DEFAULT_CANDIDATE_BUDGET,
 ) -> InvariantReport:
     """Full report: bounds, criteria level, exact values where determined,
     and the witnesses backing them. The criteria run first and decide
     ranks 1..3 of the xi climb of s_real; the witness at those ranks is read
     off the matched configuration through CRITERION_XI_SLOTS, without a
-    search. `threads` is accepted and has no effect."""
+    search, and the subspace scan decides higher ranks under node_budget as
+    in s_real. `threads` is accepted and has no effect."""
     _check_threads(threads)
     nonsimp = K.minimal_nonsimplices()
     dim = K.dimension
@@ -1132,11 +1142,9 @@ def analyze(
     )
 
 
-def oracle_check(K: SimplicialComplex, k: int, *, threads: int = 1) -> dict:
+def oracle_check(K: SimplicialComplex, k: int) -> dict:
     """Side-by-side xi search, matrix-scan oracle (when tractable) and the
-    level criteria at rank k, with an agreement verdict. `threads` is
-    accepted and has no effect."""
-    _check_threads(threads)
+    level criteria at rank k, with an agreement verdict."""
     xi = xi_search(K, k, allow_large=True) is not None
     if K.m * k <= MATRIX_SCAN_BIT_LIMIT:
         mat = matrix_search(K, k) is not None

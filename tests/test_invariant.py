@@ -90,6 +90,25 @@ def test_verify_Lambda_zero_rows_vacuous():
     assert not verify_S(simplex(2), [0b001, 0b010, 0b100], 3, "gf2")
 
 
+def test_gf2_verifiers_reject_row_masks_wider_than_the_matrix():
+    # two points at k = 1: a row mask 0b10 has a bit in column 2, which the
+    # matrix does not have; a negative mask has infinitely many
+    for rows in ([0b10, 0b10], [1, -1]):
+        with pytest.raises(ValueError):
+            verify_S_detailed(points(2), rows, 1, "gf2")
+        with pytest.raises(ValueError):
+            verify_nonsimplex_condition(points(2), rows, 1, "gf2")
+    with pytest.raises(ValueError):
+        verify_Lambda_detailed(points(2), [0b100], "gf2")
+    with pytest.raises(ValueError):
+        verify_Lambda_detailed(points(2), [-1], "gf2")
+    # the integer ring already refuses rows longer than k
+    with pytest.raises(ValueError):
+        verify_S(points(2), [[0, 1], [0, 1]], 1, "int")
+    assert verify_S(points(2), [1, 1], 1, "gf2")
+    assert verify_Lambda(points(2), [0b11], "gf2")
+
+
 def test_nonsimplex_condition_gf2():
     assert verify_nonsimplex_condition(points(3), S3, 2, "gf2")
     assert not verify_nonsimplex_condition(simplex(2), S3, 2, "gf2")
@@ -453,8 +472,8 @@ def test_s_real_interval_on_max_k_cap():
 
 
 def test_s_real_interval_on_budget():
-    # at m = 8 the subspace scan decides every rank, so the node budget,
-    # which only governs the backtracking fallback, cannot stop the climb
+    # at m = 8 every rank lies below the scan's cap, where the scan is
+    # exhaustive, so the budget cannot stop the climb
     K = SimplicialComplex.from_facets(
         8,
         [[2, 3, 4], [2, 3, 6], [2, 4, 7], [2, 6, 7], [1, 4, 8], [3, 4, 8],
@@ -464,11 +483,77 @@ def test_s_real_interval_on_budget():
     assert full.exact and full.value == 5
     tight = s_real(K, node_budget=60)
     assert tight.exact and tight.value == 5
-    # C^4(9) at k = 4, 5 lies above the scan's cap: a tiny budget stops the
-    # backtracking there and the result degrades to a verified interval
-    r = s_real(cyclic_polytope_boundary(4, 9), max_k=5, node_budget=60)
+    # C^4(9) at k = 4, 5 lies above the scan's cap: rank 4 takes 322
+    # candidate tests, and the rest of a small budget stops the scan at
+    # rank 5, so the result degrades to a verified interval
+    r = s_real(cyclic_polytope_boundary(4, 9), max_k=5, node_budget=1000)
     assert not r.exact
     assert (r.lower, r.upper) == (4, 5)
+
+
+# Complexes with m >= 9, where every rank >= 4 lies above the subspace
+# scan's exhaustive cap.
+WIDE_MEMBERS = {
+    "C^3(9)": cyclic_polytope_boundary(3, 9),
+    "C^4(10)": cyclic_polytope_boundary(4, 10),
+    "C^4(14)": cyclic_polytope_boundary(4, 14),
+    "C^5(16)": cyclic_polytope_boundary(5, 16),
+    "join(C6, bd D3)": join(cycle(6), boundary_simplex(3)),
+    **{f"skeleton({n}, 2)": skeleton(n, 2) for n in (9, 11, 13, 15)},
+    "random(14, 14001)": random_complex(14, 14001, 3, 4, 2),
+}
+
+
+def test_climb_above_rank_3_never_backtracks(monkeypatch):
+    # the subspace scan alone decides every rank >= 4, also above its cap
+    before = {name: s_real(K, max_k=5) for name, K in WIDE_MEMBERS.items()}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("xi_search was called")
+
+    monkeypatch.setattr(invariant, "xi_search", refuse)
+    for name, K in WIDE_MEMBERS.items():
+        r = s_real(K, max_k=5)
+        assert r == before[name] and r.lower == 5, name
+        rep = analyze(K, max_k=5)
+        assert (rep.s_real_searched, rep.s_real_upper) == (r.lower, r.upper), name
+        assert rep.xi_witness == r.xi_witness, name
+
+
+def test_subspace_scan_agrees_with_backtracking_on_wide_members():
+    from buchstaber.invariant import _good_span, _xi_from_span
+
+    for name, K in WIDE_MEMBERS.items():
+        for k in (4, 5):
+            span = _good_span(K, k, [invariant.SCAN_DEFAULT_CANDIDATE_BUDGET])
+            reference = xi_search(K, k, allow_large=True, use_existence_filter=False)
+            assert (span is None) == (reference is None), (name, k)
+            if span is None:
+                continue
+            w = _xi_from_span(K, span, k)
+            assert validate_xi(K, w), (name, k)
+            rows = xi_to_matrix(K, w)
+            int_rows = [[(row >> j) & 1 for j in range(k)] for row in rows]
+            assert verify_S(K, int_rows, k, "int"), (name, k)
+
+
+def test_scan_budget_counts_candidate_tests_across_ranks():
+    # C^4(10) takes 265 candidate tests at rank 4 and 578 at rank 5, both
+    # above the cap; one budget covers both ranks of the call
+    K = cyclic_polytope_boundary(4, 10)
+    for budget, interval in ((264, (3, 6)), (265, (4, 6)), (842, (4, 6)), (843, (5, 6))):
+        r = s_real(K, max_k=5, node_budget=budget)
+        assert (r.lower, r.upper) == interval, budget
+    with pytest.raises(SearchBudgetExceeded):
+        invariant._good_span(K, 5, [577])
+
+
+def test_scan_tightens_the_wide_cyclic_polytopes():
+    # rank 5 lies above the scan's cap and is found within the budget
+    for n, m in ((4, 13), (5, 14)):
+        K = cyclic_polytope_boundary(n, m)
+        r = s_real(K, max_k=5)
+        assert r.lower == 5 and validate_xi(K, r.xi_witness)
 
 
 def test_check_criteria_levels():
