@@ -115,7 +115,9 @@ def odd_circuits(k: int) -> tuple[tuple[int, ...], ...]:
     zero, have odd cardinality >= 3, and every proper subset is linearly
     independent. Ordered by (size, members). A circuit of size t spans a
     (t-1)-dimensional space, so t <= k+1; enumeration picks the t-1 smallest
-    members (independent, increasing) and closes with their sum.
+    members (independent, increasing) and closes with their sum. The count
+    grows fast (4.1 M circuits at k = 6), so witness checks solve per-vertex
+    affine systems instead; this is their reference at small k.
     """
     if not 1 <= k <= CIRCUIT_MAX_DIM:
         raise ValueError(f"circuit enumeration supports 1 <= k <= {CIRCUIT_MAX_DIM}, got {k}")

@@ -10,10 +10,9 @@ integers a list of length-m rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import comb
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import gf2, zlattice
 from .complexes import SimplicialComplex, full_mask
@@ -232,19 +231,22 @@ class XiWitness:
 
 
 def validate_xi(K: SimplicialComplex, w: XiWitness) -> bool:
+    """Every nonzero vector maps to a minimal non-face, and every odd
+    circuit has images with empty intersection. The latter is checked per
+    vertex x: the affine system {<a, y> = 1 : x in xi(a)} is consistent
+    iff no odd subset of its vectors sums to zero, that is iff no odd
+    circuit has all its images containing x (an odd dependency splits into
+    disjoint circuits, one of them odd)."""
     nonsimp = set(K.minimal_nonsimplices())
-    nvec = (1 << w.k) - 1
-    if sorted(w.assignment) != list(range(1, nvec + 1)):
+    vectors = range(1, 1 << w.k)
+    if sorted(w.assignment) != list(vectors):
         return False
-    if w.k and not all(om in nonsimp for om in w.assignment.values()):
+    if not all(om in nonsimp for om in w.assignment.values()):
         return False
-    for circuit in gf2.odd_circuits(w.k) if w.k else ():
-        inter = full_mask(K.m)
-        for a in circuit:
-            inter &= w.assignment[a]
-        if inter:
-            return False
-    return True
+    return all(
+        gf2.solve_all_ones([a for a in vectors if w.assignment[a] >> x & 1], w.k) is not None
+        for x in range(K.m)
+    )
 
 
 def _gaussian_binomial(m: int, k: int) -> int:
@@ -647,7 +649,7 @@ def s_real(
     rank r <= 3 exists iff the level is at least r, so a level below 3
     bounds the value whatever max_k is. The witness at r = min(level, max_k)
     maps each vector of Z_2^r to the matched configuration's non-face in the
-    slot CRITERION_XI_SLOTS gives it; no search runs below rank 4. Every
+    slot its record's xi_slots give it; no search runs below rank 4. Every
     higher rank is decided by the subspace scan of xi_witness_exists, whose
     subspace gives the witness. The scan is exhaustive where [m choose k]_2
     is at most EXISTENCE_SCAN_LIMIT; above it, node_budget bounds the
@@ -657,14 +659,18 @@ def s_real(
 
 
 def _climb(K: SimplicialComplex, criteria: tuple, max_k: int, node_budget: int) -> SRealResult:
-    """The climb of s_real, given the (level, witness) pair of check_criteria(K)."""
+    """The climb of s_real, given the (level, witness) pair of check_criteria(K).
+
+    The rank-r witness for r <= 3 is read off the xi_slots of the matched
+    configuration's record in _CONFIGURATIONS; the subspace scan climbs on.
+    """
     level, crit_w = criteria
     ub = K.m - K.dimension - 1
     cap = min(ub, max(0, max_k))
     value = min(level, cap)
     best: Optional[XiWitness] = None
     if value:
-        slots = CRITERION_XI_SLOTS[crit_w.level, crit_w.case]
+        slots = _CONFIGURATIONS[crit_w.level, crit_w.case].xi_slots
         best = XiWitness(value, {a: crit_w.sets[slots[a - 1]] for a in range(1, 1 << value)})
     upper = level if level < 3 else ub  # the criteria refute rank level + 1
     left = [node_budget]  # shared by the scans above EXISTENCE_SCAN_LIMIT
@@ -696,170 +702,156 @@ class CriterionWitness:
     sets: tuple[int, ...]
 
 
-# (case index, tuple size, empty-intersection constraints on 1-based slots),
-# scanned in ascending tuple size for early exit
-S3_CONFIGURATIONS: tuple[tuple[int, int, tuple[tuple[int, ...], ...]], ...] = (
-    (5, 3, ((1, 2), (1, 3), (2, 3))),
-    (4, 4, ((1, 2), (1, 3), (1, 4), (2, 3, 4))),
-    (3, 5, ((1, 2), (1, 5), (1, 3, 4), (2, 3, 5), (2, 4, 5))),
-    (2, 6, ((1, 3), (1, 2, 4), (1, 2, 5), (1, 4, 6), (1, 5, 6), (2, 3, 6), (3, 4, 5))),
-    (1, 7, ((1, 2, 4), (1, 3, 5), (1, 6, 7), (2, 3, 6), (2, 5, 7), (3, 4, 7), (4, 5, 6))),
-)
+class _Configuration:
+    """One configuration case of the criteria and the plan of its scan.
 
-# Per case, pairs (i, j) of slots such that some permutation of the slots
-# that maps the case's constraints onto themselves fixes slots 1..i-1 and
-# sends slot i to slot j. It turns a match into another match that agrees
-# before slot i and has slot j's non-face in slot i, so the lexicographically
-# first match has a lower index in slot i than in slot j. Demanding that
-# order therefore loses no first match; it cuts the symmetric copies of
-# every partial tuple out of the level-3 scan.
-S3_SLOT_ORDER: dict[int, tuple[tuple[int, int], ...]] = {
-    5: ((1, 2), (1, 3), (2, 3)),
-    4: ((2, 3), (2, 4), (3, 4)),
-    3: ((2, 5), (3, 4)),
-    2: ((2, 4), (2, 5), (2, 6), (4, 5)),
-    1: ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7),
-        (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 5), (3, 6), (3, 7)),
-}
+    `constraints`: ascending tuples of 1-based slots whose non-faces have
+    empty intersection. `slot_order`: the pairs (i, j) of slots such that
+    some permutation of the slots preserving the constraints fixes slots
+    1..i-1 and sends slot i to slot j. It turns a match into one that agrees
+    before slot i and has slot j's non-face in slot i, so the first match
+    has a lower index in slot i than in slot j; demanding that order loses
+    no first match and cuts the symmetric copies of every partial tuple out
+    of the scan. `xi_slots`: entry a - 1 is the 0-based slot whose non-face
+    xi maps the vector a of Z_2^level to. Every odd circuit of Z_2^level
+    uses a set of slots containing a constraint, so the mapping is valid on
+    every configuration of the case; it is the canonical-first xi mapping on
+    the case's generic configuration, where only the constraints have empty
+    intersections. Rank r < level takes the first 2^r - 1 entries: an odd
+    circuit of Z_2^r is one of Z_2^level. Derived per 0-based slot: `later`,
+    the later slots it precedes, and `completes`, the constraints (last
+    slot, other slots) whose other slots it completes.
+    """
 
-
-# Per (level, case) of a CriterionWitness: entry a - 1 is the 0-based slot
-# whose non-face xi maps the vector a of Z_2^level to. Every odd circuit of
-# Z_2^level uses a set of slots that contains one of the case's constraints,
-# so the mapping is valid on every configuration of the case. Each entry is
-# the canonical-first xi mapping on the case's generic configuration, where
-# only the constraints have empty intersections (the tests rebuild it and
-# search it again). Rank r < level takes the
-# first 2^r - 1 entries: an odd circuit of Z_2^r is one of Z_2^level.
-CRITERION_XI_SLOTS: dict[tuple[int, int], tuple[int, ...]] = {
-    (1, 1): (0,),
-    (2, 2): (0, 0, 1),
-    (2, 1): (0, 1, 2),
-    (3, 5): (0, 0, 1, 0, 1, 2, 0),
-    (3, 4): (0, 0, 1, 0, 2, 3, 0),
-    (3, 3): (0, 0, 1, 4, 4, 2, 3),
-    (3, 2): (0, 0, 2, 1, 3, 4, 5),
-    (3, 1): (0, 1, 3, 2, 4, 5, 6),
-}
+    def __init__(self, level, case, size, constraints, slot_order, xi_slots):
+        self.level, self.case, self.size = level, case, size
+        self.constraints, self.slot_order, self.xi_slots = constraints, slot_order, xi_slots
+        slots = range(1, size + 1)
+        self.later = [[j - 1 for i, j in slot_order if i == s] for s in slots]
+        self.completes = [
+            [(c[-1] - 1, tuple(p - 1 for p in c[:-1])) for c in constraints if c[-2] == s]
+            for s in slots
+        ]
 
 
-def _find_s2(nonsimp: Sequence[int]) -> Optional[CriterionWitness]:
-    n = len(nonsimp)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if nonsimp[i] & nonsimp[j] == 0:
-                return CriterionWitness(2, 2, (nonsimp[i], nonsimp[j]))
-    for i in range(n):
-        for j in range(i + 1, n):
-            ij = nonsimp[i] & nonsimp[j]
-            for l in range(j + 1, n):
-                if ij & nonsimp[l] == 0:
-                    return CriterionWitness(2, 1, (nonsimp[i], nonsimp[j], nonsimp[l]))
-    return None
+# Every configuration case by (level, case), in scan order: within a level,
+# ascending tuple size for early exit.
+_CONFIGURATIONS: dict[tuple[int, int], _Configuration] = {(c.level, c.case): c for c in (
+    _Configuration(1, 1, 1, (), (), (0,)),
+    _Configuration(2, 2, 2, ((1, 2),), ((1, 2),), (0, 0, 1)),
+    _Configuration(2, 1, 3, ((1, 2, 3),), ((1, 2), (1, 3), (2, 3)), (0, 1, 2)),
+    _Configuration(3, 5, 3, ((1, 2), (1, 3), (2, 3)), ((1, 2), (1, 3), (2, 3)),
+                   (0, 0, 1, 0, 1, 2, 0)),
+    _Configuration(3, 4, 4, ((1, 2), (1, 3), (1, 4), (2, 3, 4)), ((2, 3), (2, 4), (3, 4)),
+                   (0, 0, 1, 0, 2, 3, 0)),
+    _Configuration(3, 3, 5, ((1, 2), (1, 5), (1, 3, 4), (2, 3, 5), (2, 4, 5)),
+                   ((2, 5), (3, 4)), (0, 0, 1, 4, 4, 2, 3)),
+    _Configuration(3, 2, 6, ((1, 3), (1, 2, 4), (1, 2, 5), (1, 4, 6), (1, 5, 6), (2, 3, 6),
+                             (3, 4, 5)),
+                   ((2, 4), (2, 5), (2, 6), (4, 5)), (0, 0, 2, 1, 3, 4, 5)),
+    _Configuration(3, 1, 7, ((1, 2, 4), (1, 3, 5), (1, 6, 7), (2, 3, 6), (2, 5, 7), (3, 4, 7),
+                             (4, 5, 6)),
+                   ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (2, 3), (2, 4), (2, 5),
+                    (2, 6), (2, 7), (3, 5), (3, 6), (3, 7)),
+                   (0, 1, 3, 2, 4, 5, 6)),
+)}
 
 
-def _find_s3(nonsimp: Sequence[int]) -> Optional[CriterionWitness]:
-    """First level-3 configuration: configurations in S3_CONFIGURATIONS
-    order, then the lexicographically first ordered tuple of distinct
-    non-face indices satisfying its constraints.
+def _first_configurations(nonsimp: Sequence[int], top: int) -> Iterator[CriterionWitness]:
+    """The first configuration of each level 1, 2, ..., top in turn, up to
+    the first level that has none. A level's first configuration is found
+    in its first record, in _CONFIGURATIONS order, that has one, as the
+    lexicographically first ordered tuple of distinct non-face indices
+    satisfying the record's constraints.
 
     Each open slot keeps its candidate indices as a bitset. Filling a slot
-    removes, from every later slot it precedes in S3_SLOT_ORDER, the indices
-    up to its own, and from the last slot of every constraint whose other
-    slots are now all filled, the non-faces meeting their intersection:
-    those disjoint from it are the AND of the per-vertex bitsets `missing`
-    over its vertices. A branch is cut as soon as such a constraint leaves
-    its last slot no unused candidate. Candidates are tried lowest index
-    first, and every cut removes only tuples that fail a constraint or the
-    slot order, so the search returns the same first tuple as a plain scan
-    over all ordered tuples.
+    removes, from every later slot it precedes in the slot order, the
+    indices up to its own, and from the last slot of every constraint whose
+    other slots are now all filled, the non-faces meeting their
+    intersection: the OR of the per-vertex bitsets `containing` over its
+    vertices, built on first use and shared by all levels. A branch is cut
+    as soon as such a constraint leaves its last slot no unused candidate.
+    Candidates are tried lowest index first, and every cut removes only
+    tuples that fail a constraint or the slot order, so the search returns
+    the same first tuple as a plain scan over all ordered tuples.
     """
     n = len(nonsimp)
     everything = (1 << n) - 1
-    m = max(nonsimp, default=0).bit_length()
-    missing = [0] * m  # bit i of missing[v]: non-face i avoids vertex v
-    for idx, w in enumerate(nonsimp):
-        for v in range(m):
-            if not w >> v & 1:
-                missing[v] |= 1 << idx
+    containing: list[int] = []  # bit i of containing[v]: non-face i has vertex v
     disjoint_cache: dict[int, int] = {}
 
     def disjoint_from(mask: int) -> int:
         r = disjoint_cache.get(mask)
         if r is None:
-            r = everything
+            if not containing:
+                containing.extend([0] * max(nonsimp).bit_length())
+                for idx, w in enumerate(nonsimp):
+                    while w:
+                        low = w & -w
+                        w ^= low
+                        containing[low.bit_length() - 1] |= 1 << idx
+            meeting = 0
             rest = mask
             while rest:
                 low = rest & -rest
                 rest ^= low
-                r &= missing[low.bit_length() - 1]
-            disjoint_cache[mask] = r
+                meeting |= containing[low.bit_length() - 1]
+            r = disjoint_cache[mask] = everything & ~meeting
         return r
 
-    for case, size, constraints in S3_CONFIGURATIONS:
-        if n < size:
-            continue
-        # per 0-based slot: the later slots it precedes, and the constraints
-        # (last slot, other slots) whose other slots it completes
-        later: list[list[int]] = [[] for _ in range(size)]
-        for i, j in S3_SLOT_ORDER[case]:
-            later[i - 1].append(j - 1)
-        completes: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(size)]
-        for cons in constraints:
-            last = max(cons)
-            others = tuple(p - 1 for p in cons if p != last)
-            completes[max(others)].append((last - 1, others))
-        chosen = [0] * size
+    for level in range(1, top + 1):
+        for conf in _CONFIGURATIONS.values():
+            if conf.level != level or n < conf.size:
+                continue
+            size, later, completes = conf.size, conf.later, conf.completes
+            chosen = [0] * size
 
-        def place(slot: int, used: int, domains: list[int]) -> bool:
-            cand = domains[slot] & ~used
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                chosen[slot] = nonsimp[low.bit_length() - 1]
-                if slot + 1 == size:
-                    return True
-                now = used | low
-                nxt = list(domains)
-                for j in later[slot]:
-                    nxt[j] &= -(low << 1)  # the indices above this one
-                for j, others in completes[slot]:
-                    inter = chosen[others[0]]
-                    for p in others[1:]:
-                        inter &= chosen[p]
-                    nxt[j] &= disjoint_from(inter)
-                    if not nxt[j] & ~now:
-                        break
-                else:
-                    if place(slot + 1, now, nxt):
+            def place(slot: int, used: int, domains: list[int]) -> bool:
+                cand = domains[slot] & ~used
+                while cand:
+                    low = cand & -cand
+                    cand ^= low
+                    chosen[slot] = nonsimp[low.bit_length() - 1]
+                    if slot + 1 == size:
                         return True
-            return False
+                    now = used | low
+                    nxt = list(domains)
+                    for j in later[slot]:
+                        nxt[j] &= -(low << 1)  # the indices above this one
+                    for j, others in completes[slot]:
+                        inter = chosen[others[0]]
+                        for p in others[1:]:
+                            inter &= chosen[p]
+                        nxt[j] &= disjoint_from(inter)
+                        if not nxt[j] & ~now:
+                            break
+                    else:
+                        if place(slot + 1, now, nxt):
+                            return True
+                return False
 
-        if place(0, 0, [everything] * size):
-            return CriterionWitness(3, case, tuple(chosen))
-    return None
+            if place(0, 0, [everything] * size):
+                yield CriterionWitness(level, conf.case, tuple(chosen))
+                break
+        else:
+            return
 
 
 def check_criteria(K: SimplicialComplex) -> tuple[int, Optional[CriterionWitness]]:
-    """Largest level r in 0..3 whose non-face configuration is present.
+    """Largest level r in 0..3 whose non-face configuration is present,
+    with the first configuration of that level.
 
-    Level 1 needs a nonempty non-face set; level 2 a disjoint pair or a
-    triple with empty common intersection; level 3 one of the five listed
-    configurations (scanned pairs-then-triples, then ascending tuple size).
-    For r <= 3, level >= r iff s_R(K) >= r iff s(K) >= r. A level-3
-    configuration gives s(K) >= 3 and s(K) <= m - dim - 1, so the level-3
-    scan is skipped, as bound to fail, when m - dim - 1 < 3.
+    Levels are scanned in ascending order, up to the first one without a
+    match. Level 1 is any non-face; level 2 a disjoint pair or a triple
+    with empty common intersection; level 3 one of five configurations.
+    For r <= 3, level >= r iff s_R(K) >= r iff s(K) >= r. So a level-r
+    configuration gives s(K) >= r, and s(K) <= m - dim - 1: levels above
+    m - dim - 1 are not scanned, as bound to fail.
     """
-    nonsimp = K.minimal_nonsimplices()
-    if not nonsimp:
-        return 0, None
-    s2 = _find_s2(nonsimp)
-    if s2 is None:
-        return 1, CriterionWitness(1, 1, (nonsimp[0],))
-    s3 = _find_s3(nonsimp) if K.m - K.dimension - 1 >= 3 else None
-    if s3 is not None:
-        return 3, s3
-    return 2, s2
+    level, found = 0, None
+    for found in _first_configurations(K.minimal_nonsimplices(), min(3, K.m - K.dimension - 1)):
+        level = found.level
+    return level, found
 
 
 # ---------------------------------------------------------------------------
@@ -924,11 +916,12 @@ def cover_lower_bound(K: SimplicialComplex, *, guard: int = COVER_SEARCH_GUARD) 
     sets_with = [
         [idx for idx, w in enumerate(nonsimp) if w >> v & 1] for v in range(m)
     ]
-    # cheapest possible cost per newly covered vertex, kept as an exact fraction
-    rn, rd = min(
-        ((costs[i], nonsimp[i].bit_count()) for i in range(len(nonsimp))),
-        key=lambda t: Fraction(t[0], t[1]),
-    )
+    # cheapest possible cost per newly covered vertex, rn / rd, compared by
+    # cross-multiplication; equal ratios keep the first
+    rn, rd = costs[0], nonsimp[0].bit_count()
+    for cost, w in zip(costs, nonsimp):
+        if cost * rd < rn * w.bit_count():
+            rn, rd = cost, w.bit_count()
     greedy = _greedy_cover(nonsimp, m)
     best_cost = sum(costs[i] for i in greedy)
     best_sel = list(greedy)
@@ -1067,9 +1060,10 @@ def analyze(
     """Full report: bounds, criteria level, exact values where determined,
     and the witnesses backing them. The criteria run first and decide
     ranks 1..3 of the xi climb of s_real; the witness at those ranks is read
-    off the matched configuration through CRITERION_XI_SLOTS, without a
-    search, and the subspace scan decides higher ranks under node_budget as
-    in s_real. `threads` is accepted and has no effect."""
+    off the matched configuration's record, without a search, and the
+    subspace scan decides higher ranks under node_budget as in s_real. With
+    polytopal=True and dim <= 1, the chromatic bound reuses the graph's
+    chromatic number. `threads` is accepted and has no effect."""
     _check_threads(threads)
     nonsimp = K.minimal_nonsimplices()
     dim = K.dimension
@@ -1092,7 +1086,8 @@ def analyze(
         ayz = K.m - gamma.bit_length()
     chrom_bound = None
     if polytopal:
-        chrom_bound = K.m - chromatic_number(K.one_skeleton())
+        # at dim <= 1 the 1-skeleton is K itself, whose gamma is known
+        chrom_bound = K.m - (chromatic_number(K.one_skeleton()) if gamma is None else gamma)
     s_lower = max(level, cover.value)
     if chrom_bound is not None:
         s_lower = max(s_lower, chrom_bound)

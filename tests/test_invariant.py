@@ -1,5 +1,6 @@
 """Freeness conditions, xi search, exact values, criteria, and bounds."""
 
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -21,14 +22,11 @@ from buchstaber.generators import (
     skeleton,
 )
 from buchstaber.invariant import (
-    CRITERION_XI_SLOTS,
-    S3_CONFIGURATIONS,
-    S3_SLOT_ORDER,
+    _CONFIGURATIONS,
     CriterionWitness,
     SearchBudgetExceeded,
     XiWitness,
-    _find_s2,
-    _find_s3,
+    _first_configurations,
     _greedy_cover,
     analyze,
     ayzenberg_s,
@@ -147,6 +145,67 @@ def test_xi_search_four_cycle_first_witness():
         3: [2, 4],
     }
     assert validate_xi(cycle(4), w)
+
+
+def valid_by_circuits(K, w):
+    """Reference check of a xi witness: every odd circuit of Z_2^k, taken
+    from gf2.odd_circuits, has images with empty intersection."""
+    nonsimp = set(K.minimal_nonsimplices())
+    if sorted(w.assignment) != list(range(1, 1 << w.k)):
+        return False
+    if not set(w.assignment.values()) <= nonsimp:
+        return False
+    for circuit in gf2.odd_circuits(w.k):
+        inter = (1 << K.m) - 1
+        for a in circuit:
+            inter &= w.assignment[a]
+        if inter:
+            return False
+    return True
+
+
+def test_validate_xi_matches_the_circuit_check():
+    # witnesses one image away from a search witness, and witnesses with
+    # images drawn from three non-faces: both kinds are often valid
+    rng = random.Random(5)
+    family = [points(5), cycle(5), cycle(6), join(cycle(4), points(2)),
+              random_complex(6, 4400, 1, 2, 1), points(7), complete_graph(6)]
+    verdicts = set()
+    for trial in range(800):
+        K = family[trial % len(family)]
+        k = 1 + trial // len(family) % 4
+        ns = K.minimal_nonsimplices()
+        base = xi_search(K, k)
+        if base is not None and trial % 2:
+            images = dict(base.assignment)
+            images[rng.randrange(1, 1 << k)] = rng.choice(ns)
+        else:
+            pool = rng.sample(ns, min(3, len(ns)))
+            images = {a: rng.choice(pool) for a in range(1, 1 << k)}
+        w = XiWitness(k, images)
+        expected = valid_by_circuits(K, w)
+        assert validate_xi(K, w) == expected, (K, w)
+        verdicts.add((k, expected))
+    # at k = 1 there is no odd circuit
+    assert verdicts == {(1, True)} | {(k, ok) for k in (2, 3, 4) for ok in (True, False)}
+    # malformed witnesses: a missing vector, an image that is a face
+    K = cycle(4)
+    good = xi_search(K, 2)
+    assert validate_xi(K, good)
+    assert not validate_xi(K, XiWitness(2, {1: good.assignment[1], 2: good.assignment[2]}))
+    assert not validate_xi(K, XiWitness(2, {**good.assignment, 3: 0b0011}))
+
+
+def test_validate_xi_checks_high_rank_witnesses():
+    # the circuit enumeration has 4.1 M circuits at k = 6 and stops at k = 8
+    for m, k in ((7, 6), (10, 9)):
+        r = s_real(points(m), max_k=k)
+        assert r.xi_witness.k == k
+        assert validate_xi(points(m), r.xi_witness)
+        # the odd circuit {1, 2, 3} mapped onto a single non-face
+        broken = dict(r.xi_witness.assignment)
+        broken[2] = broken[3] = broken[1]
+        assert not validate_xi(points(m), XiWitness(k, broken))
 
 
 def test_xi_search_boundary_triangle_fails():
@@ -393,13 +452,18 @@ def test_criteria_end_the_climb_at_rank_3(monkeypatch, random_corpus, named_corp
         assert (s_real(analysed), analyze(analysed)) == expected
 
 
-# Per (level, case) of a criteria witness: its slot count and its
-# empty-intersection constraints on 1-based slots.
-CRITERION_CASES = {
+# Every configuration case in scan order: (level, case) -> (slot count,
+# empty-intersection constraints on 1-based slots). Written out here so the
+# oracle below does not read the table it checks.
+CASES = {
     (1, 1): (1, ()),
     (2, 2): (2, ((1, 2),)),
     (2, 1): (3, ((1, 2, 3),)),
-    **{(3, case): (size, cons) for case, size, cons in S3_CONFIGURATIONS},
+    (3, 5): (3, ((1, 2), (1, 3), (2, 3))),
+    (3, 4): (4, ((1, 2), (1, 3), (1, 4), (2, 3, 4))),
+    (3, 3): (5, ((1, 2), (1, 5), (1, 3, 4), (2, 3, 5), (2, 4, 5))),
+    (3, 2): (6, ((1, 3), (1, 2, 4), (1, 2, 5), (1, 4, 6), (1, 5, 6), (2, 3, 6), (3, 4, 5))),
+    (3, 1): (7, ((1, 2, 4), (1, 3, 5), (1, 6, 7), (2, 3, 6), (2, 5, 7), (3, 4, 7), (4, 5, 6))),
 }
 
 
@@ -407,15 +471,14 @@ def test_criterion_xi_slots_map_every_odd_circuit_onto_a_constraint():
     # at every rank r <= level, each odd circuit of Z_2^r meets a set of
     # slots containing a constraint, so its images have empty intersection
     # on every configuration of the case
-    assert set(CRITERION_XI_SLOTS) == set(CRITERION_CASES)
-    for (level, case), slots in CRITERION_XI_SLOTS.items():
-        size, constraints = CRITERION_CASES[level, case]
+    for (level, case), conf in _CONFIGURATIONS.items():
+        slots = conf.xi_slots
         assert len(slots) == (1 << level) - 1
-        assert set(slots) <= set(range(size))
+        assert set(slots) <= set(range(conf.size))
         for r in range(1, level + 1):
             for circuit in gf2.odd_circuits(r):
                 used = {slots[a - 1] + 1 for a in circuit}
-                assert any(used >= set(c) for c in constraints), (level, case, r, circuit)
+                assert any(used >= set(c) for c in conf.constraints), (level, case, r, circuit)
 
 
 def generic_configuration(size, constraints):
@@ -437,31 +500,25 @@ def generic_configuration(size, constraints):
 
 
 def test_criterion_xi_slots_are_the_generic_configuration_search_witnesses():
-    for (level, case), slots in CRITERION_XI_SLOTS.items():
-        m, masks = generic_configuration(*CRITERION_CASES[level, case])
+    for (level, case), conf in _CONFIGURATIONS.items():
+        m, masks = generic_configuration(conf.size, conf.constraints)
         K = SimplicialComplex.from_min_nonsimplex_masks(m, masks)
         w = xi_search(K, level, use_existence_filter=False)
-        assert tuple(masks.index(w.assignment[a]) for a in range(1, 1 << level)) == slots
-
-
-def criteria_level_by_full_scans(K):
-    ns = K.minimal_nonsimplices()
-    if not ns:
-        return 0
-    if _find_s2(ns) is None:
-        return 1
-    return 3 if _find_s3(ns) is not None else 2
+        found = tuple(masks.index(w.assignment[a]) for a in range(1, 1 << level))
+        assert found == conf.xi_slots, (level, case)
 
 
 def test_check_criteria_matches_unconditional_scans(
     random_corpus, census_complexes, named_corpus
 ):
-    # check_criteria skips the level-3 scan when m - dim - 1 < 3
+    # check_criteria does not scan the levels above m - dim - 1; the oracle
+    # scans every level, and finds nothing there either
     skipped = 0
     for K in random_corpus + census_complexes + named_corpus:
-        level = criteria_level_by_full_scans(K)
-        assert check_criteria(K)[0] == level, K
-        skipped += level >= 2 and K.m - K.dimension - 1 < 3
+        found = naive_first_configurations(K.minimal_nonsimplices())
+        expected = (len(found), found[-1]) if found else (0, None)
+        assert check_criteria(K) == expected, K
+        skipped += len(found) >= 2 and K.m - K.dimension - 1 < 3
     assert skipped > 50
 
 
@@ -576,36 +633,24 @@ def test_criteria_s2_triple_case():
         assert w.case == 1 and len(w.sets) == 3
 
 
-# The level-3 configurations in scan order: case -> empty-intersection
-# constraints on 1-based slots. Written out here so the oracle below does
-# not read the table it checks.
-LEVEL3_CASES = {
-    5: ((1, 2), (1, 3), (2, 3)),
-    4: ((1, 2), (1, 3), (1, 4), (2, 3, 4)),
-    3: ((1, 2), (1, 5), (1, 3, 4), (2, 3, 5), (2, 4, 5)),
-    2: ((1, 3), (1, 2, 4), (1, 2, 5), (1, 4, 6), (1, 5, 6), (2, 3, 6), (3, 4, 5)),
-    1: ((1, 2, 4), (1, 3, 5), (1, 6, 7), (2, 3, 6), (2, 5, 7), (3, 4, 7), (4, 5, 6)),
-}
-
-
 def satisfies_its_case(w):
-    for cons in LEVEL3_CASES[w.case]:
+    size, constraints = CASES[w.level, w.case]
+    for cons in constraints:
         inter = w.sets[cons[0] - 1]
         for pos in cons[1:]:
             inter &= w.sets[pos - 1]
         if inter:
             return False
-    return len(w.sets) == max(max(c) for c in LEVEL3_CASES[w.case])
+    return len(w.sets) == size
 
 
-def naive_find_s3(nonsimp):
-    """Reference level-3 scan: every ordered tuple of distinct non-faces,
-    lowest indices first, each constraint tested once its last slot is
-    filled; the first match of the first case that has one."""
+def naive_first_configuration(nonsimp, level):
+    """Reference scan of one level: every ordered tuple of distinct
+    non-faces, lowest indices first, each constraint tested once its last
+    slot is filled; the first match of the level's first case that has one."""
     n = len(nonsimp)
-    for case, constraints in LEVEL3_CASES.items():
-        size = max(max(c) for c in constraints)
-        if n < size:
+    for (lvl, case), (size, constraints) in CASES.items():
+        if lvl != level or n < size:
             continue
         by_depth = [[] for _ in range(size + 1)]
         for cons in constraints:
@@ -637,30 +682,43 @@ def naive_find_s3(nonsimp):
             return False
 
         if place(1):
-            return CriterionWitness(3, case, tuple(chosen))
+            return CriterionWitness(level, case, tuple(chosen))
     return None
+
+
+def naive_first_configurations(nonsimp):
+    """The oracle's first configuration of each level 1..3, up to the first
+    level without one. It scans every level, and checks that none above
+    that level has a configuration either."""
+    found = [naive_first_configuration(nonsimp, level) for level in (1, 2, 3)]
+    if None in found:
+        assert not any(found[found.index(None):]), nonsimp
+        return found[:found.index(None)]
+    return found
 
 
 def test_criteria_matched_sets_satisfy_their_equations():
     for seed in range(30):
         K = random_complex(5 + seed % 4, 6600 + seed, 1, 2, seed % 3)
         lvl, w = check_criteria(K)
-        if lvl == 3:
-            assert satisfies_its_case(w)
+        assert w is None or (w.level == lvl and satisfies_its_case(w))
 
 
 def test_level3_table_matches_the_reference_cases():
-    assert [(case, size) for case, size, _ in S3_CONFIGURATIONS] == [
-        (case, max(max(c) for c in cons)) for case, cons in LEVEL3_CASES.items()
-    ]
-    assert all(cons == LEVEL3_CASES[case] for case, _, cons in S3_CONFIGURATIONS)
+    # every level's cases, in scan order
+    assert [
+        ((conf.level, conf.case), (conf.size, conf.constraints))
+        for conf in _CONFIGURATIONS.values()
+    ] == list(CASES.items())
+    assert list(_CONFIGURATIONS) == list(CASES)
 
 
 def test_s3_slot_order_follows_from_the_configuration_symmetries():
     # (i, j) is listed iff some slot permutation preserving the constraints
     # fixes slots 1..i-1 and sends slot i to slot j
-    for case, size, constraints in S3_CONFIGURATIONS:
-        family = {frozenset(c) for c in constraints}
+    for key, conf in _CONFIGURATIONS.items():
+        size = conf.size
+        family = {frozenset(c) for c in conf.constraints}
         pairs = set()
         for perm in permutations(range(1, size + 1)):
             if {frozenset(perm[p - 1] for p in c) for c in family} != family:
@@ -668,7 +726,7 @@ def test_s3_slot_order_follows_from_the_configuration_symmetries():
             moved = [p for p in range(1, size + 1) if perm[p - 1] != p]
             if moved:
                 pairs.add((moved[0], perm[moved[0] - 1]))
-        assert sorted(pairs) == list(S3_SLOT_ORDER[case]), case
+        assert sorted(pairs) == list(conf.slot_order), key
 
 
 def test_level3_scan_matches_naive_scan_on_corpora(
@@ -676,7 +734,7 @@ def test_level3_scan_matches_naive_scan_on_corpora(
 ):
     for K in random_corpus + census_complexes + named_corpus:
         ns = K.minimal_nonsimplices()
-        assert _find_s3(ns) == naive_find_s3(ns), K
+        assert list(_first_configurations(ns, 3)) == naive_first_configurations(ns), K
 
 
 def polytopes_and_skeleta():
@@ -689,7 +747,7 @@ def polytopes_and_skeleta():
     family += [skeleton(n, k) for n in range(2, 7) for k in range(n)]
     # one non-face per point of the Fano plane: the set of lines avoiding
     # it. Any two meet and only the lines empty a triple, so only case 1 fits
-    fano = LEVEL3_CASES[1]
+    fano = CASES[3, 1][1]
     avoiding = [
         sum(1 << i for i, line in enumerate(fano) if p not in line) for p in range(1, 8)
     ]
@@ -702,13 +760,13 @@ def polytopes_and_skeleta():
 
 
 def test_level3_scan_matches_naive_scan_on_polytopes_and_skeleta():
-    found = set()
+    outcomes = set()
     for K in polytopes_and_skeleta():
         ns = K.minimal_nonsimplices()
-        w = _find_s3(ns)
-        assert w == naive_find_s3(ns), K
-        found.add(w and w.case)
-    assert found == {None, 1, 2, 3, 4, 5}
+        found = list(_first_configurations(ns, 3))
+        assert found == naive_first_configurations(ns), K
+        outcomes.update((w.level, w.case) for w in found)
+    assert outcomes == set(CASES)
 
 
 def test_every_criteria_outcome_gives_a_valid_witness():
@@ -766,9 +824,9 @@ def antichains(draw):
 @settings(max_examples=300)
 @given(antichains())
 def test_level3_scan_matches_naive_scan_on_antichains(ns):
-    w = _find_s3(ns)
-    assert w == naive_find_s3(ns)
-    assert w is None or satisfies_its_case(w)
+    found = list(_first_configurations(ns, 3))
+    assert found == naive_first_configurations(ns)
+    assert all(satisfies_its_case(w) for w in found)
 
 
 @st.composite
