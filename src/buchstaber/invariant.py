@@ -734,8 +734,8 @@ class _Configuration:
         ]
 
 
-# Every configuration case by (level, case), in scan order: within a level,
-# ascending tuple size for early exit.
+# Every configuration case by (level, case), in scan order: levels
+# ascending and, within a level, ascending tuple size for early exit.
 _CONFIGURATIONS: dict[tuple[int, int], _Configuration] = {(c.level, c.case): c for c in (
     _Configuration(1, 1, 1, (), (), (0,)),
     _Configuration(2, 2, 2, ((1, 2),), ((1, 2),), (0, 0, 1)),
@@ -799,42 +799,42 @@ def _first_configurations(nonsimp: Sequence[int], top: int) -> Iterator[Criterio
             r = disjoint_cache[mask] = everything & ~meeting
         return r
 
-    for level in range(1, top + 1):
-        for conf in _CONFIGURATIONS.values():
-            if conf.level != level or n < conf.size:
-                continue
-            size, later, completes = conf.size, conf.later, conf.completes
-            chosen = [0] * size
-
-            def place(slot: int, used: int, domains: list[int]) -> bool:
-                cand = domains[slot] & ~used
-                while cand:
-                    low = cand & -cand
-                    cand ^= low
-                    chosen[slot] = nonsimp[low.bit_length() - 1]
-                    if slot + 1 == size:
-                        return True
-                    now = used | low
-                    nxt = list(domains)
-                    for j in later[slot]:
-                        nxt[j] &= -(low << 1)  # the indices above this one
-                    for j, others in completes[slot]:
-                        inter = chosen[others[0]]
-                        for p in others[1:]:
-                            inter &= chosen[p]
-                        nxt[j] &= disjoint_from(inter)
-                        if not nxt[j] & ~now:
-                            break
-                    else:
-                        if place(slot + 1, now, nxt):
-                            return True
-                return False
-
-            if place(0, 0, [everything] * size):
-                yield CriterionWitness(level, conf.case, tuple(chosen))
-                break
-        else:
+    matched = 0  # the level of the last match
+    for conf in _CONFIGURATIONS.values():
+        if conf.level > min(matched + 1, top):
             return
+        if conf.level == matched or n < conf.size:
+            continue
+        size, later, completes = conf.size, conf.later, conf.completes
+        chosen = [0] * size
+
+        def place(slot: int, used: int, domains: list[int]) -> bool:
+            cand = domains[slot] & ~used
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                chosen[slot] = nonsimp[low.bit_length() - 1]
+                if slot + 1 == size:
+                    return True
+                now = used | low
+                nxt = list(domains)
+                for j in later[slot]:
+                    nxt[j] &= -(low << 1)  # the indices above this one
+                for j, others in completes[slot]:
+                    inter = chosen[others[0]]
+                    for p in others[1:]:
+                        inter &= chosen[p]
+                    nxt[j] &= disjoint_from(inter)
+                    if not nxt[j] & ~now:
+                        break
+                else:
+                    if place(slot + 1, now, nxt):
+                        return True
+            return False
+
+        if place(0, 0, [everything] * size):
+            yield CriterionWitness(conf.level, conf.case, tuple(chosen))
+            matched = conf.level
 
 
 def check_criteria(K: SimplicialComplex) -> tuple[int, Optional[CriterionWitness]]:
@@ -1061,9 +1061,8 @@ def analyze(
     and the witnesses backing them. The criteria run first and decide
     ranks 1..3 of the xi climb of s_real; the witness at those ranks is read
     off the matched configuration's record, without a search, and the
-    subspace scan decides higher ranks under node_budget as in s_real. With
-    polytopal=True and dim <= 1, the chromatic bound reuses the graph's
-    chromatic number. `threads` is accepted and has no effect."""
+    subspace scan decides higher ranks under node_budget as in s_real.
+    `threads` is accepted and has no effect."""
     _check_threads(threads)
     nonsimp = K.minimal_nonsimplices()
     dim = K.dimension

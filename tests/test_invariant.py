@@ -766,7 +766,9 @@ def test_level3_scan_matches_naive_scan_on_polytopes_and_skeleta():
         found = list(_first_configurations(ns, 3))
         assert found == naive_first_configurations(ns), K
         outcomes.update((w.level, w.case) for w in found)
-    assert outcomes == set(CASES)
+        if len(found) == 2:
+            outcomes.add(None)  # the level-3 scan ran through every case
+    assert outcomes == set(CASES) | {None}
 
 
 def test_every_criteria_outcome_gives_a_valid_witness():
