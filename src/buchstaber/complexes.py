@@ -7,8 +7,8 @@ single machine-word operation, which is what the search layers rely on.
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Iterable, Iterator
+from itertools import combinations, repeat
+from typing import Iterable
 
 MAX_VERTICES = 64
 
@@ -44,14 +44,6 @@ def face_vertices(mask: int) -> list[int]:
 
 def full_mask(m: int) -> int:
     return (1 << m) - 1
-
-
-def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the set bits of mask as single-bit ints, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low
-        mask ^= low
 
 
 def is_antichain(masks: Iterable[int]) -> bool:
@@ -104,10 +96,11 @@ def minimal_transversals(sets: Iterable[int], m: int) -> list[int]:
             raise ValueError(f"member {s:#x} has a vertex outside 1..{m}")
     if family and family[0] == 0:
         return []
-    hit = [0] * m
-    for i, s in enumerate(family):
-        for bit in iter_bits(s):
-            hit[bit.bit_length() - 1] |= 1 << i
+    # hit[v] is column v of the members, last first, written as m-digit
+    # binary rows after a row of zeros: one slice with step m read as one
+    # int per vertex, instead of one OR into a growing int per member bit
+    text = "0" * m + "".join(map(format, reversed(family), repeat(f"0{m}b")))
+    hit = [int(text[j::m], 2) for j in range(m - 1, -1, -1)]
     out: list[int] = []
 
     def extend(S: int, crit: list[int], cand: int, uncov: int) -> None:
@@ -125,7 +118,9 @@ def minimal_transversals(sets: Iterable[int], m: int) -> list[int]:
                 fewest, branch = n, c
                 if n <= 1:
                     break
-        for bit in iter_bits(branch):
+        while branch:
+            bit = branch & -branch
+            branch ^= bit
             cand ^= bit
             hv = hit[bit.bit_length() - 1]
             keep = ~hv
@@ -158,14 +153,18 @@ class SimplicialComplex:
             if f & ~fm:
                 raise ValueError(f"facet {face_vertices(f)} references a vertex above m={m}")
         # Only a strictly larger facet can contain f, and containment is
-        # transitive, so each size is tested against the maximal ones above.
+        # transitive, so each size is tested against the maximal ones above;
+        # the largest size has none to test against.
         by_size: dict[int, list[int]] = {}
         for f in raw:
             by_size.setdefault(f.bit_count(), []).append(f)
         kept: list[int] = []
         for size in sorted(by_size, reverse=True):
-            larger = tuple(kept)
-            kept.extend(f for f in by_size[size] if not any(f & ~g == 0 for g in larger))
+            group = by_size[size]
+            if kept:
+                larger = tuple(kept)
+                group = [f for f in group if not any(f & ~g == 0 for g in larger)]
+            kept.extend(group)
         kept.sort()
         if not kept:
             kept = [0]

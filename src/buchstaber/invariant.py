@@ -10,7 +10,7 @@ integers a list of length-m rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from math import comb
 from typing import Iterator, Optional, Sequence
 
@@ -719,8 +719,12 @@ class _Configuration:
     the case's generic configuration, where only the constraints have empty
     intersections. Rank r < level takes the first 2^r - 1 entries: an odd
     circuit of Z_2^r is one of Z_2^level. Derived per 0-based slot: `later`,
-    the later slots it precedes, and `completes`, the constraints (last
-    slot, other slots) whose other slots it completes.
+    the later slots it precedes; `completes`, the constraints (last slot,
+    other slots) whose other slots it completes; and `pending`, the
+    constraints (filled slots, open slots) that still have two or more open
+    slots once it is filled. Derived per case: `disjoint`, the most slots
+    joined pairwise by 2-slot constraints, whose non-faces are pairwise
+    disjoint in every configuration of the case.
     """
 
     def __init__(self, level, case, size, constraints, slot_order, xi_slots):
@@ -732,6 +736,16 @@ class _Configuration:
             [(c[-1] - 1, tuple(p - 1 for p in c[:-1])) for c in constraints if c[-2] == s]
             for s in slots
         ]
+        self.pending = [
+            [(tuple(p - 1 for p in c if p <= s), tuple(p - 1 for p in c if p > s))
+             for c in constraints if c[-2] > s]
+            for s in slots
+        ]
+        pairs = {c for c in constraints if len(c) == 2}
+        self.disjoint = max(
+            n for n in slots for t in combinations(slots, n)
+            if all(p in pairs for p in combinations(t, 2))
+        )
 
 
 # Every configuration case by (level, case), in scan order: levels
@@ -769,27 +783,33 @@ def _first_configurations(nonsimp: Sequence[int], top: int) -> Iterator[Criterio
     indices up to its own, and from the last slot of every constraint whose
     other slots are now all filled, the non-faces meeting their
     intersection: the OR of the per-vertex bitsets `containing` over its
-    vertices, built on first use and shared by all levels. A branch is cut
-    as soon as such a constraint leaves its last slot no unused candidate.
+    vertices, built for the first record with constraints and shared by
+    all levels. A branch is cut as soon as such a constraint leaves its last
+    slot no unused candidate, or as soon as a constraint with two or more
+    open slots has a vertex common to its filled slots (any vertex when
+    none is filled) that every unused candidate of its open slots contains:
+    that vertex would stay in the intersection. A record is skipped when
+    its `disjoint` smallest non-faces have more vertices in total than all
+    non-faces cover, since then no `disjoint` of them are pairwise disjoint.
+
     Candidates are tried lowest index first, and every cut removes only
-    tuples that fail a constraint or the slot order, so the search returns
-    the same first tuple as a plain scan over all ordered tuples.
+    tuples that fail a constraint or the slot order, or branches and
+    records with no matching tuple at all, so the search returns the same
+    first tuple as a plain scan over all ordered tuples.
     """
     n = len(nonsimp)
     everything = (1 << n) - 1
+    union = 0
+    for w in nonsimp:
+        union |= w
+    room = union.bit_count()
+    smallest = sorted(w.bit_count() for w in nonsimp)
     containing: list[int] = []  # bit i of containing[v]: non-face i has vertex v
     disjoint_cache: dict[int, int] = {}
 
     def disjoint_from(mask: int) -> int:
         r = disjoint_cache.get(mask)
         if r is None:
-            if not containing:
-                containing.extend([0] * max(nonsimp).bit_length())
-                for idx, w in enumerate(nonsimp):
-                    while w:
-                        low = w & -w
-                        w ^= low
-                        containing[low.bit_length() - 1] |= 1 << idx
             meeting = 0
             rest = mask
             while rest:
@@ -803,10 +823,36 @@ def _first_configurations(nonsimp: Sequence[int], top: int) -> Iterator[Criterio
     for conf in _CONFIGURATIONS.values():
         if conf.level > min(matched + 1, top):
             return
-        if conf.level == matched or n < conf.size:
+        if conf.level == matched or n < conf.size or sum(smallest[:conf.disjoint]) > room:
             continue
-        size, later, completes = conf.size, conf.later, conf.completes
+        if conf.constraints and not containing:
+            containing.extend([0] * union.bit_length())
+            for idx, w in enumerate(nonsimp):
+                while w:
+                    low = w & -w
+                    w ^= low
+                    containing[low.bit_length() - 1] |= 1 << idx
+        size, later, completes, pending = conf.size, conf.later, conf.completes, conf.pending
         chosen = [0] * size
+
+        def stuck(slot: int, nxt: list[int], now: int) -> bool:
+            for filled, open_slots in pending[slot]:
+                rest = 0
+                for j in open_slots:
+                    rest |= nxt[j]
+                rest &= ~now
+                if not rest:
+                    return True
+                # a vertex in every candidate is in the first one
+                inter = nonsimp[(rest & -rest).bit_length() - 1]
+                for p in filled:
+                    inter &= chosen[p]
+                while inter:
+                    low = inter & -inter
+                    inter ^= low
+                    if not rest & ~containing[low.bit_length() - 1]:
+                        return True
+            return False
 
         def place(slot: int, used: int, domains: list[int]) -> bool:
             cand = domains[slot] & ~used
@@ -828,6 +874,8 @@ def _first_configurations(nonsimp: Sequence[int], top: int) -> Iterator[Criterio
                     if not nxt[j] & ~now:
                         break
                 else:
+                    if pending[slot] and stuck(slot, nxt, now):
+                        continue
                     if place(slot + 1, now, nxt):
                         return True
             return False
@@ -873,8 +921,15 @@ def _greedy_cover(nonsimp: Sequence[int], m: int) -> list[int]:
     """Indices picked, in order, by repeatedly taking the non-face with the
     least cost |w| - 1 per newly covered vertex; ratios are compared by
     cross-multiplication, and equal ratios go to the lower index. A picked
-    non-face covers no new vertex, so it is never a candidate again."""
+    non-face covers no new vertex, so it is never a candidate again.
+
+    No ratio is below (s - 1) / s, s the least |w|: a non-face covers at
+    most |w| new vertices, and (|w| - 1) / |w| grows with |w|. So a round's
+    scan stops at the first candidate that reaches that bound; no later one
+    can beat it, and the pick is the one the full scan makes.
+    """
     full = full_mask(m)
+    least = min(w.bit_count() for w in nonsimp)
     covered = 0
     picked: list[int] = []
     while covered != full:
@@ -887,6 +942,8 @@ def _greedy_cover(nonsimp: Sequence[int], m: int) -> list[int]:
             cost = w.bit_count() - 1
             if best_idx < 0 or cost * best_new < best_cost * new:
                 best_idx, best_cost, best_new = idx, cost, new
+                if cost * least == (least - 1) * new:
+                    break
         picked.append(best_idx)
         covered |= nonsimp[best_idx]
     return picked
@@ -916,12 +973,10 @@ def cover_lower_bound(K: SimplicialComplex, *, guard: int = COVER_SEARCH_GUARD) 
     sets_with = [
         [idx for idx, w in enumerate(nonsimp) if w >> v & 1] for v in range(m)
     ]
-    # cheapest possible cost per newly covered vertex, rn / rd, compared by
-    # cross-multiplication; equal ratios keep the first
-    rn, rd = costs[0], nonsimp[0].bit_count()
-    for cost, w in zip(costs, nonsimp):
-        if cost * rd < rn * w.bit_count():
-            rn, rd = cost, w.bit_count()
+    # cheapest possible cost per newly covered vertex, rn / rd: (s - 1) / s
+    # for the least |w| = s, as (|w| - 1) / |w| grows with |w|
+    rd = min(w.bit_count() for w in nonsimp)
+    rn = rd - 1
     greedy = _greedy_cover(nonsimp, m)
     best_cost = sum(costs[i] for i in greedy)
     best_sel = list(greedy)

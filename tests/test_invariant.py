@@ -1,6 +1,8 @@
 """Freeness conditions, xi search, exact values, criteria, and bounds."""
 
 import random
+import time
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
@@ -882,6 +884,41 @@ def test_level3_scan_closes_the_skeleton_cliff():
     assert lvl == 3 and satisfies_its_case(w)
 
 
+def test_level3_scan_skips_cases_whose_disjoint_slots_cannot_fit():
+    # the 4-skeleton of the 15-simplex: |N| = 8 008 six-sets of 16 vertices.
+    # Case 5 needs three pairwise disjoint non-faces, 18 > 16 vertices, so
+    # the scan moves on to case 4 without enumerating the disjoint pairs
+    # (2.5-3.5 s when it did; a 1 s bound leaves wide room for a slow host)
+    K = skeleton(15, 4)
+    ns = K.minimal_nonsimplices()
+    t0 = time.perf_counter()
+    found = list(_first_configurations(ns, 3))
+    assert time.perf_counter() - t0 < 1.0
+    assert [(w.level, w.case) for w in found] == [(1, 1), (2, 2), (3, 4)]
+    assert check_criteria(K) == (3, found[-1]) and satisfies_its_case(found[-1])
+
+
+@pytest.mark.parametrize("K, case, sets", [
+    (cyclic_polytope_boundary(9, 14), 3,
+     [[2, 4, 6, 8, 10], [3, 5, 7, 9, 11], [2, 4, 6, 11, 13], [1, 3, 8, 10, 12, 14],
+      [1, 5, 7, 9, 12, 14]]),
+    (skeleton(9, 2), 4, [[1, 2, 3, 4], [5, 6, 7, 8], [5, 6, 9, 10], [7, 8, 9, 10]]),
+], ids=["C^9(14)", "skeleton(9, 2)"])
+def test_pruned_scan_keeps_the_first_match(K, case, sets):
+    # C^9(14) refutes case 4 and skeleton(9, 2) case 5 before the match;
+    # the witnesses are those the scan found before either cut existed
+    level, w = check_criteria(K)
+    assert (level, w.case, [face_vertices(x) for x in w.sets]) == (3, case, sets)
+
+
+def test_disjoint_slot_counts():
+    # the most slots joined pairwise by 2-slot constraints, per record
+    assert {key: conf.disjoint for key, conf in _CONFIGURATIONS.items()} == {
+        (1, 1): 1, (2, 2): 2, (2, 1): 1,
+        (3, 5): 3, (3, 4): 2, (3, 3): 2, (3, 2): 2, (3, 1): 1,
+    }
+
+
 def test_analyze_cyclic_11_16_at_max_k_3():
     rep = analyze(cyclic_polytope_boundary(11, 16), polytopal=True, max_k=3)
     assert rep.criteria_level == 3
@@ -1028,6 +1065,43 @@ def test_greedy_cover_breaks_equal_ratios_by_index():
     # comes before {4,5} at 1/1
     sets = [face_mask(s, 6) for s in ([5, 6], [4, 5], [1, 2, 3])]
     assert _greedy_cover(sets, 6) == [0, 2, 1]
+
+
+@st.composite
+def covering_antichains(draw):
+    """(non-faces, m): the minimal members of random subsets of m <= 9
+    vertices, singletons (cost 0) included, plus a singleton for each
+    vertex they leave uncovered, so that they cover all m vertices."""
+    m = draw(st.integers(1, 9))
+    vertex_sets = st.frozensets(st.integers(0, m - 1), min_size=1, max_size=min(m, 5))
+    sets = {sum(1 << v for v in vs) for vs in draw(st.lists(vertex_sets, min_size=1, max_size=20))}
+    ns = [w for w in sets if not any(u != w and u & ~w == 0 for u in sets)]
+    union = 0
+    for w in ns:
+        union |= w
+    ns += [1 << v for v in range(m) if not union >> v & 1]
+    return sorted(ns), m
+
+
+def greedy_cover_reference(nonsimp, m):
+    """Each round scans every non-face that covers a new vertex and takes
+    the least (|w| - 1) / new, the lowest index among equals."""
+    covered, picked = 0, []
+    while covered != (1 << m) - 1:
+        _, idx = min(
+            (Fraction(w.bit_count() - 1, (w & ~covered).bit_count()), idx)
+            for idx, w in enumerate(nonsimp) if w & ~covered
+        )
+        picked.append(idx)
+        covered |= nonsimp[idx]
+    return picked
+
+
+@settings(max_examples=300)
+@given(covering_antichains())
+def test_greedy_cover_matches_the_full_scan(case):
+    nonsimp, m = case
+    assert _greedy_cover(nonsimp, m) == greedy_cover_reference(nonsimp, m)
 
 
 def test_chromatic_number():
