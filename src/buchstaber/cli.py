@@ -100,9 +100,9 @@ def _cmd_sreal(args) -> int:
     K = formats.load_complex(args.input)
     r = s_real(K, max_k=args.max_k)
     if args.json:
-        text = formats.json_text(formats.s_real_to_dict(r, K.m))
+        text = formats.json_text(formats.s_real_to_dict(r))
     else:
-        text = formats.s_real_to_text(r, K.m)
+        text = formats.s_real_to_text(r)
     _write(text, args.out)
     return 0 if r.exact else 2
 
@@ -117,27 +117,36 @@ def _cmd_criteria(args) -> int:
     return 0
 
 
+# gen kind -> (constructor, least and most parameter counts). The parameters
+# are integers, except join's two complex file paths; random gets --seed as its
+# second argument.
+_GEN_KINDS = {
+    "simplex": (generators.simplex, 1, 1),
+    "boundary": (generators.boundary_simplex, 1, 1),
+    "skeleton": (generators.skeleton, 2, 2),
+    "cycle": (generators.cycle, 1, 1),
+    "points": (generators.points, 1, 1),
+    "complete_graph": (generators.complete_graph, 1, 1),
+    "cyclic": (generators.cyclic_polytope_boundary, 2, 2),
+    "join": (generators.join, 2, 2),
+    "random": (generators.random_complex, 1, 4),
+}
+
+
 def _cmd_gen(args) -> int:
     kind = args.kind
-    if kind == "join":
-        if len(args.params) != 2:
-            raise ValueError("gen join takes two complex file paths")
-        K = generators.join(
-            formats.load_complex(args.params[0]), formats.load_complex(args.params[1])
-        )
-    elif kind == "random":
-        vals = [int(x) for x in args.params]
-        if not vals:
-            raise ValueError("gen random needs at least the vertex count")
-        m = vals[0]
-        p_num = vals[1] if len(vals) > 1 else 1
-        p_den = vals[2] if len(vals) > 2 else 2
-        extra = vals[3] if len(vals) > 3 else 0
-        K = generators.random_complex(m, args.seed, p_num, p_den, extra)
-    else:
-        vals = [int(x) for x in args.params]
-        spec = generators.GeneratorSpec(kind, tuple(vals), seed=args.seed)
-        K = generators.generate(spec)
+    if kind not in _GEN_KINDS:
+        raise ValueError(f"unknown generator kind {kind!r}")
+    make, least, most = _GEN_KINDS[kind]
+    count = len(args.params)
+    if not least <= count <= most:
+        takes = str(least) if least == most else f"{least} to {most}"
+        raise ValueError(f"gen {kind}: parameter count must be {takes}, got {count}")
+    parse = formats.load_complex if kind == "join" else int
+    params = [parse(x) for x in args.params]
+    if kind == "random":
+        params.insert(1, args.seed)
+    K = make(*params)
     text = formats.complex_to_json(K) if args.json else formats.complex_to_text(K)
     _write(text, args.out)
     return 0

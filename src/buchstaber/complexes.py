@@ -211,9 +211,6 @@ class SimplicialComplex:
         """max |F| - 1 over maximal faces; -1 for the empty complex."""
         return self._dim
 
-    def maximal_simplices(self) -> tuple[int, ...]:
-        return self.facets
-
     def contains_face(self, sigma: int) -> bool:
         for f in self.facets:
             if sigma & ~f == 0:
@@ -254,11 +251,8 @@ class SimplicialComplex:
                 faces.append(e)
         return SimplicialComplex(self.m, faces)
 
-    def edges(self) -> list[int]:
-        return [f for f in self.one_skeleton().facets if f.bit_count() == 2]
-
-    def automorphisms(self, limit: int = 256) -> tuple[tuple[int, ...], ...]:
-        """Up to `limit` vertex permutations preserving the facet family,
+    def automorphisms(self) -> tuple[tuple[int, ...], ...]:
+        """Up to 256 vertex permutations preserving the facet family,
         identity first; cached. No search in this package uses them."""
         if self._auts is None:
             fset = set(self.facets)
@@ -272,7 +266,7 @@ class SimplicialComplex:
             used = [False] * m
 
             def extend(x: int) -> None:
-                if len(found) >= limit:
+                if len(found) >= 256:
                     return
                 if x == m:
                     perm = tuple(image)

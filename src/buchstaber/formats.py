@@ -156,10 +156,6 @@ def parse_matrix_text(text: str) -> list[list[int]]:
     return rows
 
 
-def matrix_to_text(rows: Sequence[Sequence[int]]) -> str:
-    return "\n".join(" ".join(str(x) for x in row) for row in rows) + "\n"
-
-
 def gf2_rows_from_lists(rows: Sequence[Sequence[int]]) -> tuple[list[int], int]:
     """Convert 0/1 row lists to bitmask rows plus the column count."""
     k = len(rows[0]) if rows else 0
@@ -175,7 +171,7 @@ def gf2_rows_to_lists(rows: Sequence[int], k: int) -> list[list[int]]:
     return [[(row >> j) & 1 for j in range(k)] for row in rows]
 
 
-def xi_witness_to_dict(w: XiWitness, m: int) -> dict:
+def xi_witness_to_dict(w: XiWitness) -> dict:
     """Wire form: vector bitmask (as a string key) -> non-face vertex list."""
     return {str(a): face_vertices(om) for a, om in sorted(w.assignment.items())}
 
@@ -219,7 +215,7 @@ def _criteria_line(level: int, cw: Optional[dict]) -> str:
     return f"criteria level = {level} (case {cw['case']}: {sets})"
 
 
-def s_real_to_dict(r: SRealResult, m: int) -> dict:
+def s_real_to_dict(r: SRealResult) -> dict:
     """The `sreal` verb's JSON object."""
     xi = r.xi_witness
     return {
@@ -227,15 +223,15 @@ def s_real_to_dict(r: SRealResult, m: int) -> dict:
         "upper": r.upper,
         "exact": r.exact,
         "value": r.value,
-        "xi_witness": None if xi is None else xi_witness_to_dict(xi, m),
+        "xi_witness": None if xi is None else xi_witness_to_dict(xi),
         "matrix_witness": None
         if r.matrix_rows is None
         else matrix_witness_to_dict(r.matrix_rows, xi.k),
     }
 
 
-def s_real_to_text(r: SRealResult, m: int) -> str:
-    d = s_real_to_dict(r, m)
+def s_real_to_text(r: SRealResult) -> str:
+    d = s_real_to_dict(r)
     return "\n".join(_s_real_lines(d, d["xi_witness"], d["matrix_witness"])) + "\n"
 
 
@@ -285,7 +281,7 @@ def report_to_dict(report: InvariantReport) -> dict:
             "value": report.s_real_value,
             "searched": report.s_real_searched,
         },
-        "xi_witness": None if xi is None else xi_witness_to_dict(xi, report.m),
+        "xi_witness": None if xi is None else xi_witness_to_dict(xi),
         "matrix_witness": None
         if report.matrix_rows is None
         else matrix_witness_to_dict(report.matrix_rows, xi.k),

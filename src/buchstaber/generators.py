@@ -4,7 +4,6 @@ cycles, graphs, joins, cyclic polytope boundaries and seeded random complexes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .complexes import MAX_VERTICES, SimplicialComplex, face_mask
@@ -148,43 +147,3 @@ def random_complex(
             face |= 1 << rng.below(m)
         K = SimplicialComplex(m, list(K.facets) + [face])
     return K
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Typed description of a corpus member, dispatchable via generate()."""
-
-    kind: str
-    params: tuple[int, ...] = ()
-    seed: int = 0
-    p_num: int = 1
-    p_den: int = 2
-    extra_faces: int = 0
-    factors: tuple["GeneratorSpec", ...] = field(default=())
-
-
-def generate(spec: GeneratorSpec) -> SimplicialComplex:
-    kind = spec.kind
-    p = spec.params
-    if kind == "simplex":
-        return simplex(*p)
-    if kind == "boundary":
-        return boundary_simplex(*p)
-    if kind == "skeleton":
-        return skeleton(*p)
-    if kind == "cycle":
-        return cycle(*p)
-    if kind == "points":
-        return points(*p)
-    if kind == "complete_graph":
-        return complete_graph(*p)
-    if kind == "cyclic":
-        return cyclic_polytope_boundary(*p)
-    if kind == "join":
-        if len(spec.factors) != 2:
-            raise ValueError("join spec needs exactly two factor specs")
-        return join(generate(spec.factors[0]), generate(spec.factors[1]))
-    if kind == "random":
-        (m,) = p
-        return random_complex(m, spec.seed, spec.p_num, spec.p_den, spec.extra_faces)
-    raise ValueError(f"unknown generator kind {kind!r}")

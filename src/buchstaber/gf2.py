@@ -14,7 +14,7 @@ MAX_DIM = 16
 CIRCUIT_MAX_DIM = 8
 
 
-def rank(rows: Iterable[int], k: int | None = None) -> int:
+def rank(rows: Iterable[int]) -> int:
     """Rank over GF(2) via an incremental XOR basis keyed by lowest set bit."""
     pivots: dict[int, int] = {}
     for v in rows:
@@ -34,7 +34,7 @@ def spans_full(rows: Sequence[int], k: int) -> bool:
         return True
     if len(rows) < k:
         return False
-    return rank(rows, k) == k
+    return rank(rows) == k
 
 
 def solve_all_ones(constraints: Iterable[int], k: int) -> Optional[int]:

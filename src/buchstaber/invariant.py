@@ -927,6 +927,8 @@ def _greedy_cover(nonsimp: Sequence[int], m: int) -> list[int]:
     most |w| new vertices, and (|w| - 1) / |w| grows with |w|. So a round's
     scan stops at the first candidate that reaches that bound; no later one
     can beat it, and the pick is the one the full scan makes.
+
+    Raises ValueError when the non-faces do not cover all m vertices.
     """
     full = full_mask(m)
     least = min(w.bit_count() for w in nonsimp)
@@ -944,18 +946,21 @@ def _greedy_cover(nonsimp: Sequence[int], m: int) -> list[int]:
                 best_idx, best_cost, best_new = idx, cost, new
                 if cost * least == (least - 1) * new:
                     break
+        if best_idx < 0:
+            raise ValueError("the non-faces do not cover every vertex")
         picked.append(best_idx)
         covered |= nonsimp[best_idx]
     return picked
 
 
-def cover_lower_bound(K: SimplicialComplex, *, guard: int = COVER_SEARCH_GUARD) -> CoverBound:
+def cover_lower_bound(K: SimplicialComplex) -> CoverBound:
     """Branch-and-bound weighted cover over the minimal non-faces.
 
     Maximizing m - sum |w_i| + l is minimizing sum (|w_i| - 1) subject to
     covering every vertex; branching is on the lowest uncovered vertex with
     candidates in canonical order, so the optimal cover returned is the
-    canonically first one.
+    canonically first one. Above COVER_SEARCH_GUARD non-faces the search
+    is skipped and the greedy cover is returned, marked heuristic.
     """
     nonsimp = K.minimal_nonsimplices()
     m = K.m
@@ -966,7 +971,7 @@ def cover_lower_bound(K: SimplicialComplex, *, guard: int = COVER_SEARCH_GUARD) 
     if union != full:
         return CoverBound(0, (), False, False)
     costs = [w.bit_count() - 1 for w in nonsimp]
-    if len(nonsimp) > guard:
+    if len(nonsimp) > COVER_SEARCH_GUARD:
         picked = _greedy_cover(nonsimp, m)
         cost = sum(costs[i] for i in picked)
         return CoverBound(m - cost, tuple(sorted(nonsimp[i] for i in picked)), True, True)

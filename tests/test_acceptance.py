@@ -47,7 +47,7 @@ def test_acceptance_1_census_three_way_agreement(census_complexes):
     for K in census_complexes:
         level = check_criteria(K)[0]
         for k in (1, 2, 3):
-            xi = xi_search(K, k) is not None
+            xi = xi_search(K, k, use_existence_filter=False) is not None
             mat = matrix_search(K, k) is not None
             crit = level >= k
             if not (xi == mat == crit):
@@ -72,7 +72,7 @@ def test_acceptance_2_random_corpus_agreement(random_corpus):
     for K in random_corpus:
         level = check_criteria(K)[0]
         for k in (1, 2, 3):
-            xi = xi_search(K, k) is not None
+            xi = xi_search(K, k, use_existence_filter=False) is not None
             if xi != (level >= k):
                 disagreements.append((K, k))
     # exhaustive matrix-scan spot checks where the scan is tractable
@@ -84,7 +84,7 @@ def test_acceptance_2_random_corpus_agreement(random_corpus):
         i += 1
         if K.m * k > 16:
             continue
-        xi = xi_search(K, k) is not None
+        xi = xi_search(K, k, use_existence_filter=False) is not None
         mat = matrix_search(K, k) is not None
         if xi != mat:
             disagreements.append((K, k, "matrix"))

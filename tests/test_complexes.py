@@ -118,8 +118,8 @@ def test_minimal_nonsimplices_examples():
 
 
 def test_maximal_simplices_and_dimension():
-    assert cycle(4).maximal_simplices() == cycle(4).facets
-    assert simplex(2).maximal_simplices() == ((1 << 3) - 1,)
+    assert cycle(4).facets == (0b0011, 0b0110, 0b1001, 0b1100)
+    assert simplex(2).facets == ((1 << 3) - 1,)
     assert cycle(4).dimension == 1
     assert simplex(4).dimension == 4
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from buchstaber import formats
 from buchstaber.cli import main
 from buchstaber.complexes import SimplicialComplex
-from buchstaber.generators import cycle, points, simplex
+from buchstaber.generators import cycle, join, points, random_complex, simplex
 from buchstaber.invariant import analyze
 
 
@@ -61,7 +61,7 @@ def test_complex_json_roundtrip():
 
 def test_matrix_text_roundtrip():
     rows = [[1, -2, 3], [0, 4, -5]]
-    assert formats.parse_matrix_text(formats.matrix_to_text(rows)) == rows
+    assert formats.parse_matrix_text("1 -2 3\n0 4 -5\n") == rows
     with pytest.raises(ValueError):
         formats.parse_matrix_text("1 2\n3\n")
     with pytest.raises(ValueError):
@@ -83,7 +83,7 @@ def test_xi_witness_json_roundtrip():
 
     for K, k in ((cycle(4), 2), (cycle(5), 3), (points(3), 2)):
         w = xi_search(K, k)
-        obj = json.loads(json.dumps(formats.xi_witness_to_dict(w, K.m)))
+        obj = json.loads(json.dumps(formats.xi_witness_to_dict(w)))
         back = formats.xi_witness_from_dict(obj, K.m)
         assert back.k == w.k and back.assignment == w.assignment
         assert validate_xi(K, back)
@@ -185,6 +185,13 @@ def test_cli_gen_json_roundtrip(tmp_path):
     path = tmp_path / "k.json"
     assert main(["gen", "points", "3", "--json", "-o", str(path)]) == 0
     assert formats.load_complex(str(path)) == points(3)
+    for spec, K in (
+        (["cycle", "4"], cycle(4)),
+        (["cyclic", "2", "5"], cycle(5)),
+        (["simplex", "3"], simplex(3)),
+    ):
+        code, text = run_cli(tmp_path, "gen", *spec)
+        assert code == 0 and formats.parse_complex_text(text) == K
 
 
 def test_cli_gen_join_and_random(tmp_path):
@@ -194,9 +201,12 @@ def test_cli_gen_join_and_random(tmp_path):
     main(["gen", "points", "2", "-o", str(b)])
     code, text = run_cli(tmp_path, "gen", "join", str(a), str(b))
     assert code == 0 and "m 4" in text
+    assert formats.parse_complex_text(text) == join(points(2), points(2))
     code, t1 = run_cli(tmp_path, "gen", "random", "6", "1", "2", "--seed", "42")
     code, t2 = run_cli(tmp_path, "gen", "random", "6", "1", "2", "--seed", "42")
     assert t1 == t2
+    code, text = run_cli(tmp_path, "gen", "random", "6", "1", "2", "1", "--seed", "42")
+    assert code == 0 and formats.parse_complex_text(text) == random_complex(6, 42, 1, 2, 1)
 
 
 def test_cli_sreal_and_criteria(tmp_path):
@@ -341,13 +351,24 @@ def test_cli_lemma23(tmp_path):
     assert [d["det"] for d in obj["pattern_dets"]] == [-3, -5, -7]
 
 
-def test_cli_error_exit_codes(tmp_path):
+def test_cli_error_exit_codes(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "missing.cplx")]) == 1
     bad = tmp_path / "bad.cplx"
     bad.write_text("facet 1 2\n")
     assert main(["analyze", str(bad)]) == 1
-    assert main(["gen", "nosuchkind", "3"]) == 1
-    assert main(["gen", "join", "onlyone"]) == 1
+    capsys.readouterr()
+    # a wrong kind or parameter count is an input error, not a traceback
+    for argv in (
+        ["gen", "nosuchkind", "3"],
+        ["gen", "join", "onlyone"],
+        ["gen", "join"],
+        ["gen", "simplex"],
+        ["gen", "cycle", "4", "5"],
+        ["gen", "random", "6", "1", "2", "0", "9"],
+    ):
+        assert main([*argv, "-o", str(tmp_path / "out.cplx")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out.cplx").exists()
 
 
 def test_cli_negative_threads_rejected(tmp_path, capsys):

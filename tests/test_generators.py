@@ -6,13 +6,11 @@ import pytest
 
 from buchstaber.complexes import SimplicialComplex, face_vertices
 from buchstaber.generators import (
-    GeneratorSpec,
     Lcg,
     boundary_simplex,
     complete_graph,
     cycle,
     cyclic_polytope_boundary,
-    generate,
     join,
     points,
     random_complex,
@@ -148,22 +146,6 @@ def test_random_complex_guards():
         random_complex(17, 1)
     with pytest.raises(ValueError):
         random_complex(5, 1, 3, 2)
-
-
-def test_generate_dispatch():
-    assert generate(GeneratorSpec("cycle", (4,))) == cycle(4)
-    assert generate(GeneratorSpec("cyclic", (2, 5))) == cycle(5)
-    assert generate(GeneratorSpec("simplex", (3,))) == simplex(3)
-    spec = GeneratorSpec(
-        "join", factors=(GeneratorSpec("points", (2,)), GeneratorSpec("points", (2,)))
-    )
-    assert generate(spec) == join(points(2), points(2))
-    r = generate(GeneratorSpec("random", (6,), seed=42, p_num=1, p_den=2, extra_faces=1))
-    assert r == random_complex(6, 42, 1, 2, 1)
-    with pytest.raises(ValueError):
-        generate(GeneratorSpec("nope", ()))
-    with pytest.raises(ValueError):
-        generate(GeneratorSpec("join", ()))
 
 
 def test_join_vertex_limit():

@@ -25,6 +25,8 @@ from buchstaber.generators import (
 )
 from buchstaber.invariant import (
     _CONFIGURATIONS,
+    COVER_SEARCH_GUARD,
+    CoverBound,
     CriterionWitness,
     SearchBudgetExceeded,
     XiWitness,
@@ -1047,9 +1049,16 @@ def test_cover_not_coverable():
 
 
 def test_cover_greedy_fallback():
-    cb = cover_lower_bound(cycle(4), guard=1)
-    assert cb.heuristic and cb.coverable
-    assert cb.value <= 2
+    # 210 non-faces, above COVER_SEARCH_GUARD: the greedy cover
+    # {1,2,3,4}, {5,6,7,8}, {1,2,9,10} of cost 9 is returned, marked heuristic
+    K = skeleton(9, 2)
+    assert len(K.minimal_nonsimplices()) == 210 > COVER_SEARCH_GUARD
+    assert cover_lower_bound(K) == CoverBound(1, (15, 240, 771), True, True)
+
+
+def test_greedy_cover_rejects_nonfaces_that_do_not_cover():
+    with pytest.raises(ValueError):
+        _greedy_cover([0b011], 3)
 
 
 def test_greedy_cover_breaks_equal_ratios_by_index():

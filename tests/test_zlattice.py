@@ -102,7 +102,7 @@ def test_det_parity_matches_gf2_rank():
         mat = [[rng.below(2) for _ in range(n)] for _ in range(n)]
         det = zlattice.det_exact(mat)
         rows = [sum(bit << j for j, bit in enumerate(row)) for row in mat]
-        full_rank = gf2.rank(rows, n) == n
+        full_rank = gf2.rank(rows) == n
         assert (det % 2 != 0) == full_rank
 
 
