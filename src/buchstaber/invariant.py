@@ -169,18 +169,20 @@ def _projective_reps(p: int, k: int):
 
 def verify_nonsimplex_condition(K: SimplicialComplex, rows: Sequence, k: int, ring: str) -> bool:
     """Every nonzero vector must pair to nonzero with all rows of some
-    minimal non-face (over GF(2), or mod every relevant prime)."""
+    minimal non-face (over GF(2), or mod every relevant prime). The rows a
+    vector serves contain a minimal non-face iff they are not a face, which
+    is read from the face table that N(K) leaves at m <= SCAN_VERTEX_LIMIT."""
     _check_rows(K, rows, k, ring)
-    nonsimp = K.minimal_nonsimplices()
     if k == 0:
         return True
+    K.minimal_nonsimplices()
     if ring == GF2:
         for a in range(1, 1 << k):
             served = 0
             for i, row in enumerate(rows):
                 if (a & row).bit_count() & 1:
                     served |= 1 << i
-            if not any(w & ~served == 0 for w in nonsimp):
+            if K.contains_face(served):
                 return False
         return True
     for p in condition_prime_set(K, rows, k):
@@ -189,7 +191,7 @@ def verify_nonsimplex_condition(K: SimplicialComplex, rows: Sequence, k: int, ri
             for i, row in enumerate(rows):
                 if sum(x * y for x, y in zip(a, row)) % p:
                     served |= 1 << i
-            if not any(w & ~served == 0 for w in nonsimp):
+            if K.contains_face(served):
                 return False
     return True
 
@@ -290,18 +292,13 @@ def _good_span(K: SimplicialComplex, k: int, budget: Optional[list] = None) -> O
     Without `budget` the scan is exhaustive; with it, each candidate vector
     tested takes one unit from `budget[0]`, which callers may share across
     scans, and SearchBudgetExceeded is raised when none is left.
+
+    A vector contains a minimal non-face iff it is not a face, read from
+    the face table that N(K) leaves at m <= SCAN_VERTEX_LIMIT.
     """
-    nonsimp = K.minimal_nonsimplices()
+    K.minimal_nonsimplices()
+    is_face = K.contains_face
     m = K.m
-    good_cache: dict[int, bool] = {}
-
-    def good(x: int) -> bool:
-        r = good_cache.get(x)
-        if r is None:
-            r = any(w & ~x == 0 for w in nonsimp)
-            good_cache[x] = r
-        return r
-
     span = [0]
 
     def extend(start: int, depth: int) -> bool:
@@ -312,13 +309,13 @@ def _good_span(K: SimplicialComplex, k: int, budget: Optional[list] = None) -> O
                 budget[0] -= 1
                 if budget[0] < 0:
                     raise SearchBudgetExceeded(f"subspace scan at k={k} ran out of its budget")
-            if not good(b):
+            if is_face(b):
                 continue
             # unique generation: b must be the minimum of its coset
             if any(b ^ s < b for s in span if s):
                 continue
             coset = [b ^ s for s in span]
-            if all(good(t) for t in coset):
+            if not any(map(is_face, coset)):
                 span.extend(coset)
                 if extend(b + 1, depth + 1):
                     return True
@@ -1017,7 +1014,7 @@ def chromatic_number(K: SimplicialComplex) -> int:
     """
     if K.dimension > 1:
         raise ValueError("chromatic number is defined here only for dim <= 1")
-    verts = [v for v in range(K.m) if K.contains_face(1 << v)]
+    verts = [v - 1 for v in K.vertices()]
     if not verts:
         return 0
     index = {v: i for i, v in enumerate(verts)}

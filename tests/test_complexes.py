@@ -1,8 +1,14 @@
-"""Complex construction, minimal non-faces, and the dual reconstructions."""
+"""Complex construction, minimal non-faces, the face table, and the dual
+reconstructions."""
+
+from itertools import combinations
+from math import comb
 
 import pytest
 
+from buchstaber import complexes
 from buchstaber.complexes import (
+    SCAN_VERTEX_LIMIT,
     SimplicialComplex,
     face_mask,
     face_vertices,
@@ -26,6 +32,11 @@ from buchstaber.generators import (
 
 def masks(K):
     return [face_vertices(f) for f in K.facets]
+
+
+def is_face(K, sigma):
+    """Face test over the facets, independent of the face table."""
+    return any(sigma & ~f == 0 for f in K.facets)
 
 
 def test_face_mask_roundtrip():
@@ -136,6 +147,11 @@ def test_one_skeleton():
     assert simplex(3).one_skeleton() == complete_graph(4)
     assert cycle(4).one_skeleton() == cycle(4)
     assert points(3).one_skeleton() == points(3)
+    K = SimplicialComplex.from_facets(5, [[1, 2, 3], [4]])  # 4 isolated, 5 a ghost
+    want = SimplicialComplex.from_facets(5, [[1, 2], [1, 3], [2, 3], [4]])
+    assert K.one_skeleton() == want  # by facet scans
+    K.minimal_nonsimplices()
+    assert K.one_skeleton() == want  # from the face table
 
 
 def test_contains_face():
@@ -205,11 +221,65 @@ def test_nonfaces_at_benchmark_scale(K, count):
     assert len(ns) == count
     # each listed set is a non-face whose every one-smaller subset is a face
     for w in ns:
-        assert not K.contains_face(w)
-        assert all(K.contains_face(w ^ 1 << (v - 1)) for v in face_vertices(w))
+        assert not is_face(K, w)
+        assert all(is_face(K, w ^ 1 << (v - 1)) for v in face_vertices(w))
     assert SimplicialComplex.from_min_nonsimplex_masks(K.m, ns) == K
-    if K.m <= 12:
-        assert minimal_nonsimplices_by_scan(K) == list(ns)
+    assert minimal_nonsimplices_by_transversal(K) == list(ns)
+
+
+def test_nonfaces_of_the_four_skeleton_of_the_15_simplex():
+    # the facets are the C(16, 5) = 4 368 five-sets and the minimal
+    # non-faces the C(16, 6) = 8 008 six-sets; the table path takes
+    # milliseconds where the transversal search walks every facet
+    # complement at its top nodes
+    K = skeleton(15, 4)
+    six_sets = sorted(sum(1 << v for v in c) for c in combinations(range(16), 6))
+    assert len(K.facets) == 4368 and len(six_sets) == 8008
+    assert list(K.minimal_nonsimplices()) == six_sets
+    assert minimal_nonsimplices_by_transversal(K) == six_sets
+
+
+@pytest.mark.parametrize("n", [15, 16])
+def test_scan_and_transversals_agree_across_the_limit(n):
+    # skeleton(15, 2) has m = 16, the largest m that keeps a face table;
+    # skeleton(16, 2) has m = 17 and takes the transversals
+    K = skeleton(n, 2)
+    ns = K.minimal_nonsimplices()
+    assert (K._faces is not None) == (K.m <= SCAN_VERTEX_LIMIT)
+    assert len(ns) == comb(K.m, 4)
+    assert minimal_nonsimplices_by_scan(skeleton(n, 2)) == list(ns)
+    assert minimal_nonsimplices_by_transversal(skeleton(n, 2)) == list(ns)
+
+
+def test_face_table_edge_cases():
+    cases = [
+        (SimplicialComplex(1, [1]), []),  # m = 1, the full simplex
+        (SimplicialComplex(1, []), [[1]]),  # m = 1, only the empty face
+        (SimplicialComplex.from_facets(3, []), [[1], [2], [3]]),  # only the empty face
+        (SimplicialComplex.from_facets(4, [[1, 2]]), [[3], [4]]),  # ghost vertices 3, 4
+        (SimplicialComplex.from_facets(5, [[1, 2], [2, 3]]), [[1, 3], [4], [5]]),
+    ]
+    for K, want in cases:
+        assert [face_vertices(w) for w in K.minimal_nonsimplices()] == want, K
+        assert len(K._faces) == 1 << K.m
+        assert minimal_nonsimplices_by_transversal(K) == list(K.minimal_nonsimplices())
+        for sigma in (-1, *range(1 << K.m), 1 << K.m):
+            assert K.contains_face(sigma) == is_face(K, sigma), (K, sigma)
+
+
+def test_wide_complex_takes_transversals_without_a_table(monkeypatch):
+    def refuse(K):
+        raise AssertionError("the subset scan ran above SCAN_VERTEX_LIMIT")
+
+    monkeypatch.setattr(complexes, "minimal_nonsimplices_by_scan", refuse)
+    # m = 64: a path on vertices 1..8 and two facets on the top vertices
+    facets = [0b11 << i for i in range(7)] + [0b111 << 58, 0b11 << 62]
+    K = SimplicialComplex(64, facets)
+    ns = K.minimal_nonsimplices()
+    assert K._faces is None
+    assert ns == tuple(minimal_nonsimplices_by_transversal(K))
+    assert is_antichain(ns) and 1 << 8 in ns and 0b101 in ns
+    assert K.contains_face(0b11 << 62) and not K.contains_face(1 << 8)
 
 
 def _random_corpus():
@@ -245,12 +315,12 @@ def test_nonsimplices_antichain_and_membership():
         # sigma is a face iff it contains no minimal non-face
         for sigma in range(1 << K.m):
             free = all(w & ~sigma for w in ns)
-            assert K.contains_face(sigma) == free
+            assert is_face(K, sigma) == free
 
 
 def test_scan_vs_transversal_cross_check():
-    # both algorithms agree through m = 12; the scan is the independent
-    # check on the transversal path that minimal_nonsimplices() always takes
+    # both algorithms agree through m = 12, where minimal_nonsimplices()
+    # takes the scan and the transversals are the independent check
     for K in _random_corpus() + [_twelve_vertex_complex()]:
         assert minimal_nonsimplices_by_scan(K) == minimal_nonsimplices_by_transversal(K)
 

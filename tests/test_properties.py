@@ -1,5 +1,6 @@
 """Property tests: the answers do not depend on how the vertices are labelled,
-the two minimal non-face algorithms agree, the minimal transversals match a
+the two minimal non-face algorithms agree with the definition, the face
+table agrees with the facet scan, the minimal transversals match a
 brute-force oracle and satisfy Berge duality, the constructor keeps exactly
 the maximal facets, and the matrix verifiers agree with each other."""
 
@@ -85,12 +86,22 @@ def facet_families(draw):
     return SimplicialComplex(m, facets)
 
 
+def nonfaces_by_definition(K):
+    """Every non-face whose one-smaller subsets are all faces, ascending,
+    with faces tested against the facets rather than the face table."""
+    def is_face(sigma):
+        return any(sigma & ~f == 0 for f in K.facets)
+
+    return [s for s in range(1 << K.m)
+            if not is_face(s) and all(is_face(s ^ (1 << v)) for v in range(K.m) if s >> v & 1)]
+
+
 @settings(max_examples=150)
 @given(facet_families())
 def test_scan_and_transversals_agree(K):
-    ns = minimal_nonsimplices_by_scan(K)
-    assert ns == minimal_nonsimplices_by_transversal(K)
-    assert list(K.minimal_nonsimplices()) == ns
+    ns = list(K.minimal_nonsimplices())
+    assert ns == minimal_nonsimplices_by_transversal(K) == nonfaces_by_definition(K)
+    assert minimal_nonsimplices_by_scan(K) == ns
     assert SimplicialComplex.from_min_nonsimplex_masks(K.m, ns) == K
 
 
@@ -138,6 +149,19 @@ def facet_lists(draw):
     base = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=10))
     subsets = [f & draw(st.integers(0, (1 << m) - 1)) for f in base]
     return m, draw(st.permutations(base + subsets + base[: draw(st.integers(0, len(base)))]))
+
+
+@settings(max_examples=200)
+@given(facet_lists())
+def test_face_table_agrees_with_the_facet_scan(case):
+    m, facets = case
+    K = SimplicialComplex(m, facets)
+    masks = [-1, *range(1 << m), 1 << m, (1 << m) | 1]
+    by_facets = [K.contains_face(s) for s in masks]
+    assert K._faces is None  # face tests alone build no table
+    K.minimal_nonsimplices()
+    assert K._faces is not None
+    assert [K.contains_face(s) for s in masks] == by_facets
 
 
 @settings(max_examples=300)
