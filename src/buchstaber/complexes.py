@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import combinations, repeat
-from typing import Iterable
+from typing import Iterable, Sequence
 
 MAX_VERTICES = 64
 
@@ -72,6 +72,35 @@ def is_antichain(masks: Iterable[int]) -> bool:
     return True
 
 
+# Fewest masks at which incidence() transposes them as text; below it one
+# OR per member bit is faster. The two cost the same at about 32 masks of 2
+# to 4 vertices on 9 to 16 vertices; at 1 820 masks (the 2-skeleton of the
+# 15-simplex) the transpose takes 0.6 ms against 1.4 ms.
+TRANSPOSE_MIN_MASKS = 32
+
+
+def incidence(masks: Sequence[int], width: int) -> list[int]:
+    """Per vertex bit v < width, the bitset over indices of the masks that
+    contain v: bit i of entry v is bit v of masks[i].
+
+    From TRANSPOSE_MIN_MASKS masks up, the masks are written last first as
+    width-digit binary rows after a row of zeros, and each column is one
+    slice with step width read as one int; below it, each member bit is
+    ORed into its column. Every mask must lie below 2^width.
+    """
+    if len(masks) < TRANSPOSE_MIN_MASKS:
+        columns = [0] * width
+        for i, w in enumerate(masks):
+            bit = 1 << i
+            while w:
+                low = w & -w
+                w ^= low
+                columns[low.bit_length() - 1] |= bit
+        return columns
+    text = "0" * width + "".join(map(format, reversed(masks), repeat(f"0{width}b")))
+    return [int(text[j::width], 2) for j in range(width - 1, -1, -1)]
+
+
 def minimal_transversals(sets: Iterable[int], m: int) -> list[int]:
     """All minimal hitting sets of a family of vertex-set masks on m vertices.
 
@@ -79,7 +108,7 @@ def minimal_transversals(sets: Iterable[int], m: int) -> list[int]:
     dualizing large-scale hypergraphs", Discrete Appl. Math. 170, 2014), with
     the family members indexed as bits:
 
-    * hit[v] is the set of members that contain vertex v;
+    * hit[v] is the set of members that contain vertex v (incidence());
     * a node carries the current set S, the members S leaves uncovered and
       the candidate vertices that may still join S;
     * it branches on the lowest-indexed uncovered member with the fewest
@@ -100,11 +129,7 @@ def minimal_transversals(sets: Iterable[int], m: int) -> list[int]:
             raise ValueError(f"member {s:#x} has a vertex outside 1..{m}")
     if family and family[0] == 0:
         return []
-    # hit[v] is column v of the members, last first, written as m-digit
-    # binary rows after a row of zeros: one slice with step m read as one
-    # int per vertex, instead of one OR into a growing int per member bit
-    text = "0" * m + "".join(map(format, reversed(family), repeat(f"0{m}b")))
-    hit = [int(text[j::m], 2) for j in range(m - 1, -1, -1)]
+    hit = incidence(family, m)
     out: list[int] = []
 
     def extend(S: int, crit: list[int], cand: int, uncov: int) -> None:
@@ -146,7 +171,7 @@ class SimplicialComplex:
     workers.
     """
 
-    __slots__ = ("m", "facets", "_nonsimplices", "_faces", "_dim", "_auts")
+    __slots__ = ("m", "facets", "_nonsimplices", "_faces", "_incidence", "_dim", "_auts")
 
     def __init__(self, m: int, facets: Iterable[int]):
         if not 1 <= m <= MAX_VERTICES:
@@ -177,6 +202,7 @@ class SimplicialComplex:
         self._nonsimplices: tuple[int, ...] | None = None
         # character sigma is "1" iff sigma is a face
         self._faces: str | None = None
+        self._incidence: tuple[int, ...] | None = None
         self._auts: tuple[tuple[int, ...], ...] | None = None
         self._dim = max(f.bit_count() for f in self.facets) - 1
 
@@ -242,6 +268,13 @@ class SimplicialComplex:
                 found = minimal_nonsimplices_by_transversal(self)
             self._nonsimplices = tuple(found)
         return self._nonsimplices
+
+    def nonface_incidence(self) -> tuple[int, ...]:
+        """Per vertex bit v < m, the bitset over indices into
+        minimal_nonsimplices() of the non-faces that contain v; cached."""
+        if self._incidence is None:
+            self._incidence = tuple(incidence(self.minimal_nonsimplices(), self.m))
+        return self._incidence
 
     def is_flag(self) -> bool:
         return all(w.bit_count() == 2 for w in self.minimal_nonsimplices())
@@ -339,12 +372,21 @@ class SimplicialComplex:
         return f"SimplicialComplex(m={self.m}, facets=[{faces}])"
 
 
-@cache
-def _low_masks(m: int) -> tuple[int, ...]:
+def _build_low_masks(m: int) -> tuple[int, ...]:
     """Per vertex bit b < m, the 2^m-bit mask of the subsets without b."""
     return tuple(
         int(("0" * (1 << b) + "1" * (1 << b)) * (1 << m - b - 1), 2) for b in range(m)
     )
+
+
+_kept_low_masks = cache(_build_low_masks)
+
+
+def _low_masks(m: int) -> tuple[int, ...]:
+    """_build_low_masks(m), kept for the life of the process only at
+    m <= SCAN_VERTEX_LIMIT, the sizes minimal_nonsimplices() scans: a direct
+    scan above it builds its masks (m of 2^m bits) and drops them."""
+    return _kept_low_masks(m) if m <= SCAN_VERTEX_LIMIT else _build_low_masks(m)
 
 
 def minimal_nonsimplices_by_scan(K: SimplicialComplex) -> list[int]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from typing import Optional, Sequence
 
-from .complexes import SimplicialComplex, face_mask, face_vertices
+from .complexes import MAX_VERTICES, SimplicialComplex, face_mask, face_vertices
 from .invariant import CriterionWitness, InvariantReport, SRealResult, XiWitness
 
 
@@ -65,15 +65,37 @@ def _json_value(obj, pad: str) -> str:
 
 
 def parse_complex_text(text: str) -> SimplicialComplex:
+    """Read the complex text format.
+
+    Facet lines go through a token table, built when the 'm' line is read
+    (for 1 <= m <= MAX_VERTICES): it maps each vertex's decimal token "1" ..
+    str(m) to the vertex's bit, and a facet line whose tokens are all in it
+    ORs their bits into one mask. The masks go to SimplicialComplex as they
+    are. A facet line with any other token ("01", "+3", "1_0", a vertex
+    outside 1..m, a non-integer) is read by int() like every other line, and
+    its vertices are packed and range-checked by face_mask once the whole
+    text is read, after the check of m. So each text is accepted or refused
+    exactly as by int() and from_facets on every line, with the same message.
+    """
     m = None
-    facets: list[list[int]] = []
+    bits: dict[str, int] = {}
+    facets: list[int | list[int]] = []  # masks, and the vertex lists read by int()
     nonsimp: list[list[int]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         kind = parts[0]
+        if kind == "facet" and bits:
+            mask = 0
+            for x in parts[1:]:
+                bit = bits.get(x)
+                if bit is None:
+                    break
+                mask |= bit
+            else:
+                facets.append(mask)
+                continue
         try:
             values = [int(x) for x in parts[1:]]
         except ValueError as exc:
@@ -84,6 +106,8 @@ def parse_complex_text(text: str) -> SimplicialComplex:
             if len(values) != 1:
                 raise ValueError(f"line {lineno}: 'm' takes exactly one integer")
             m = values[0]
+            if m <= MAX_VERTICES:
+                bits = {str(v): 1 << v - 1 for v in range(1, m + 1)}
         elif kind == "facet":
             if m is None:
                 raise ValueError(f"line {lineno}: 'facet' before 'm'")
@@ -100,7 +124,8 @@ def parse_complex_text(text: str) -> SimplicialComplex:
         raise ValueError("'facet' and 'nonsimplex' statements are mutually exclusive")
     if nonsimp:
         return SimplicialComplex.from_min_nonsimplices(m, nonsimp)
-    return SimplicialComplex.from_facets(m, facets)
+    # SimplicialComplex checks m before it draws the first mask
+    return SimplicialComplex(m, (f if type(f) is int else face_mask(f, m) for f in facets))
 
 
 def complex_to_text(K: SimplicialComplex) -> str:

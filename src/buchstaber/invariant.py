@@ -721,7 +721,10 @@ class _Configuration:
     constraints (filled slots, open slots) that still have two or more open
     slots once it is filled. Derived per case: `disjoint`, the most slots
     joined pairwise by 2-slot constraints, whose non-faces are pairwise
-    disjoint in every configuration of the case.
+    disjoint in every configuration of the case; `closing`, per constraint
+    the penultimate slot completes (each ends at the last slot), its slots
+    before the penultimate one; and `last_ordered`, whether the last slot
+    follows the penultimate one in the slot order.
     """
 
     def __init__(self, level, case, size, constraints, slot_order, xi_slots):
@@ -738,6 +741,8 @@ class _Configuration:
              for c in constraints if c[-2] > s]
             for s in slots
         ]
+        self.closing = [others[:-1] for _, others in self.completes[size - 2]] if size > 1 else []
+        self.last_ordered = (size - 1, size) in slot_order
         pairs = {c for c in constraints if len(c) == 2}
         self.disjoint = max(
             n for n in slots for t in combinations(slots, n)
@@ -768,26 +773,32 @@ _CONFIGURATIONS: dict[tuple[int, int], _Configuration] = {(c.level, c.case): c f
 )}
 
 
-def _first_configurations(nonsimp: Sequence[int], top: int) -> Iterator[CriterionWitness]:
+def _first_configurations(
+    nonsimp: Sequence[int], containing: Sequence[int], top: int
+) -> Iterator[CriterionWitness]:
     """The first configuration of each level 1, 2, ..., top in turn, up to
     the first level that has none. A level's first configuration is found
     in its first record, in _CONFIGURATIONS order, that has one, as the
     lexicographically first ordered tuple of distinct non-face indices
-    satisfying the record's constraints.
+    satisfying the record's constraints. Bit i of `containing[v]` says
+    whether non-face i has vertex v (SimplicialComplex.nonface_incidence).
 
     Each open slot keeps its candidate indices as a bitset. Filling a slot
     removes, from every later slot it precedes in the slot order, the
     indices up to its own, and from the last slot of every constraint whose
     other slots are now all filled, the non-faces meeting their
-    intersection: the OR of the per-vertex bitsets `containing` over its
-    vertices, built for the first record with constraints and shared by
-    all levels. A branch is cut as soon as such a constraint leaves its last
-    slot no unused candidate, or as soon as a constraint with two or more
-    open slots has a vertex common to its filled slots (any vertex when
-    none is filled) that every unused candidate of its open slots contains:
-    that vertex would stay in the intersection. A record is skipped when
-    its `disjoint` smallest non-faces have more vertices in total than all
-    non-faces cover, since then no `disjoint` of them are pairwise disjoint.
+    intersection: the complement of the OR of `containing` over its
+    vertices, cached per intersection. The penultimate slot is filled in
+    one flat loop: every constraint it completes ends at the last slot, so
+    per candidate the last slot's domain is cut in place, and its lowest
+    unused index, if any, completes the tuple. A branch is cut as soon as
+    such a constraint leaves its last slot no unused candidate, or as soon
+    as a constraint with two or more open slots has a vertex common to its
+    filled slots (any vertex when none is filled) that every unused
+    candidate of its open slots contains: that vertex would stay in the
+    intersection. A record is skipped when its `disjoint` smallest
+    non-faces have more vertices in total than all non-faces cover, since
+    then no `disjoint` of them are pairwise disjoint.
 
     Candidates are tried lowest index first, and every cut removes only
     tuples that fail a constraint or the slot order, or branches and
@@ -801,19 +812,16 @@ def _first_configurations(nonsimp: Sequence[int], top: int) -> Iterator[Criterio
         union |= w
     room = union.bit_count()
     smallest = sorted(w.bit_count() for w in nonsimp)
-    containing: list[int] = []  # bit i of containing[v]: non-face i has vertex v
-    disjoint_cache: dict[int, int] = {}
+    disjoint_cache: dict[int, int] = {}  # mask -> the non-faces disjoint from it
 
     def disjoint_from(mask: int) -> int:
-        r = disjoint_cache.get(mask)
-        if r is None:
-            meeting = 0
-            rest = mask
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                meeting |= containing[low.bit_length() - 1]
-            r = disjoint_cache[mask] = everything & ~meeting
+        meeting = 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            meeting |= containing[low.bit_length() - 1]
+        r = disjoint_cache[mask] = everything & ~meeting
         return r
 
     matched = 0  # the level of the last match
@@ -822,14 +830,8 @@ def _first_configurations(nonsimp: Sequence[int], top: int) -> Iterator[Criterio
             return
         if conf.level == matched or n < conf.size or sum(smallest[:conf.disjoint]) > room:
             continue
-        if conf.constraints and not containing:
-            containing.extend([0] * union.bit_length())
-            for idx, w in enumerate(nonsimp):
-                while w:
-                    low = w & -w
-                    w ^= low
-                    containing[low.bit_length() - 1] |= 1 << idx
         size, later, completes, pending = conf.size, conf.later, conf.completes, conf.pending
+        penultimate, closing, ordered = size - 2, conf.closing, conf.last_ordered
         chosen = [0] * size
 
         def stuck(slot: int, nxt: list[int], now: int) -> bool:
@@ -853,6 +855,35 @@ def _first_configurations(nonsimp: Sequence[int], top: int) -> Iterator[Criterio
 
         def place(slot: int, used: int, domains: list[int]) -> bool:
             cand = domains[slot] & ~used
+            if slot == penultimate:
+                last = domains[slot + 1] & ~used
+                # per closing constraint, the intersection of its slots
+                # before this one (all vertices when it has none)
+                fixed = []
+                for others in closing:
+                    inter = -1
+                    for p in others:
+                        inter &= chosen[p]
+                    fixed.append(inter)
+                while cand:
+                    low = cand & -cand
+                    cand ^= low
+                    if ordered:
+                        dom = last & -(low << 1)  # the indices above this one
+                        if not dom:
+                            return False  # and none above a later candidate
+                    else:
+                        dom = last & ~low
+                    w = nonsimp[low.bit_length() - 1]
+                    for inter in fixed:
+                        inter &= w
+                        apart = disjoint_cache.get(inter)
+                        dom &= disjoint_from(inter) if apart is None else apart
+                    if dom:
+                        chosen[slot] = w
+                        chosen[slot + 1] = nonsimp[(dom & -dom).bit_length() - 1]
+                        return True
+                return False
             while cand:
                 low = cand & -cand
                 cand ^= low
@@ -867,7 +898,8 @@ def _first_configurations(nonsimp: Sequence[int], top: int) -> Iterator[Criterio
                     inter = chosen[others[0]]
                     for p in others[1:]:
                         inter &= chosen[p]
-                    nxt[j] &= disjoint_from(inter)
+                    apart = disjoint_cache.get(inter)
+                    nxt[j] &= disjoint_from(inter) if apart is None else apart
                     if not nxt[j] & ~now:
                         break
                 else:
@@ -894,7 +926,8 @@ def check_criteria(K: SimplicialComplex) -> tuple[int, Optional[CriterionWitness
     m - dim - 1 are not scanned, as bound to fail.
     """
     level, found = 0, None
-    for found in _first_configurations(K.minimal_nonsimplices(), min(3, K.m - K.dimension - 1)):
+    top = min(3, K.m - K.dimension - 1)
+    for found in _first_configurations(K.minimal_nonsimplices(), K.nonface_incidence(), top):
         level = found.level
     return level, found
 
@@ -914,39 +947,56 @@ class CoverBound:
     heuristic: bool
 
 
-def _greedy_cover(nonsimp: Sequence[int], m: int) -> list[int]:
+def _greedy_cover(nonsimp: Sequence[int], m: int, containing: Sequence[int]) -> list[int]:
     """Indices picked, in order, by repeatedly taking the non-face with the
     least cost |w| - 1 per newly covered vertex; ratios are compared by
     cross-multiplication, and equal ratios go to the lower index. A picked
-    non-face covers no new vertex, so it is never a candidate again.
+    non-face covers no new vertex, so it is never a candidate again. The
+    non-faces are nonempty; bit i of `containing[v]` says whether non-face
+    i has vertex v.
 
-    No ratio is below (s - 1) / s, s the least |w|: a non-face covers at
-    most |w| new vertices, and (|w| - 1) / |w| grows with |w|. So a round's
-    scan stops at the first candidate that reaches that bound; no later one
-    can beat it, and the pick is the one the full scan makes.
+    No ratio is below (s - 1) / s, s the least |w|, and only a non-face of
+    size s disjoint from the covered set reaches it: a non-face covers at
+    most |w| new vertices, and (|w| - 1) / |w| grows with |w|. So when such
+    a non-face exists, the pick is the lowest-indexed one, read as the
+    lowest bit of the size-s class outside the non-faces that meet the
+    covered set; only otherwise is every candidate's ratio compared.
 
     Raises ValueError when the non-faces do not cover all m vertices.
     """
     full = full_mask(m)
-    least = min(w.bit_count() for w in nonsimp)
-    covered = 0
+    # one byte per non-face, last first: its size, then the binary digit
+    # saying whether that size is the least; the digits read as the bitset
+    sizes = bytes(map(int.bit_count, reversed(nonsimp)))
+    least = min(sizes)
+    digits = bytearray(b"0" * 256)
+    digits[least] = ord("1")
+    cheapest = int(sizes.translate(digits), 2)  # the non-faces of size `least`
+    covered = meeting = 0  # meeting: the non-faces that meet `covered`
     picked: list[int] = []
     while covered != full:
-        best_idx = -1
-        best_cost, best_new = 0, 0
-        for idx, w in enumerate(nonsimp):
-            new = (w & ~covered).bit_count()
-            if new == 0:
-                continue
-            cost = w.bit_count() - 1
-            if best_idx < 0 or cost * best_new < best_cost * new:
-                best_idx, best_cost, best_new = idx, cost, new
-                if cost * least == (least - 1) * new:
-                    break
-        if best_idx < 0:
-            raise ValueError("the non-faces do not cover every vertex")
+        fresh = cheapest & ~meeting
+        if fresh:
+            best_idx = (fresh & -fresh).bit_length() - 1
+        else:
+            best_idx = -1
+            best_cost, best_new = 0, 0
+            for idx, w in enumerate(nonsimp):
+                new = (w & ~covered).bit_count()
+                if new == 0:
+                    continue
+                cost = w.bit_count() - 1
+                if best_idx < 0 or cost * best_new < best_cost * new:
+                    best_idx, best_cost, best_new = idx, cost, new
+            if best_idx < 0:
+                raise ValueError("the non-faces do not cover every vertex")
         picked.append(best_idx)
-        covered |= nonsimp[best_idx]
+        new = nonsimp[best_idx] & ~covered
+        covered |= new
+        while new:
+            low = new & -new
+            new ^= low
+            meeting |= containing[low.bit_length() - 1]
     return picked
 
 
@@ -962,16 +1012,14 @@ def cover_lower_bound(K: SimplicialComplex) -> CoverBound:
     nonsimp = K.minimal_nonsimplices()
     m = K.m
     full = full_mask(m)
-    union = 0
-    for w in nonsimp:
-        union |= w
-    if union != full:
+    containing = K.nonface_incidence()
+    if not all(containing):  # a vertex in no non-face
         return CoverBound(0, (), False, False)
-    costs = [w.bit_count() - 1 for w in nonsimp]
     if len(nonsimp) > COVER_SEARCH_GUARD:
-        picked = _greedy_cover(nonsimp, m)
-        cost = sum(costs[i] for i in picked)
+        picked = _greedy_cover(nonsimp, m, containing)
+        cost = sum(nonsimp[i].bit_count() - 1 for i in picked)
         return CoverBound(m - cost, tuple(sorted(nonsimp[i] for i in picked)), True, True)
+    costs = [w.bit_count() - 1 for w in nonsimp]
     sets_with = [
         [idx for idx, w in enumerate(nonsimp) if w >> v & 1] for v in range(m)
     ]
@@ -979,7 +1027,7 @@ def cover_lower_bound(K: SimplicialComplex) -> CoverBound:
     # for the least |w| = s, as (|w| - 1) / |w| grows with |w|
     rd = min(w.bit_count() for w in nonsimp)
     rn = rd - 1
-    greedy = _greedy_cover(nonsimp, m)
+    greedy = _greedy_cover(nonsimp, m, containing)
     best_cost = sum(costs[i] for i in greedy)
     best_sel = list(greedy)
 

@@ -247,7 +247,11 @@ def test_scan_and_transversals_agree_across_the_limit(n):
     ns = K.minimal_nonsimplices()
     assert (K._faces is not None) == (K.m <= SCAN_VERTEX_LIMIT)
     assert len(ns) == comb(K.m, 4)
+    kept = complexes._kept_low_masks.cache_info().currsize
     assert minimal_nonsimplices_by_scan(skeleton(n, 2)) == list(ns)
+    # the scan above keeps the m = 16 masks; at m = 17 the direct call
+    # builds its masks (17 of 2^17 bits) and keeps none
+    assert complexes._kept_low_masks.cache_info().currsize == kept
     assert minimal_nonsimplices_by_transversal(skeleton(n, 2)) == list(ns)
 
 

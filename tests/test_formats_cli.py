@@ -1,6 +1,10 @@
 """File formats and the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +48,111 @@ def test_complex_text_errors():
     ):
         with pytest.raises(ValueError):
             formats.parse_complex_text(bad)
+
+
+def parse_complex_text_reference(text):
+    """The complex text parser with every token read by int() and every
+    facet packed by from_facets: the oracle for the token-table parser."""
+    m = None
+    facets, nonsimp = [], []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        kind = parts[0]
+        try:
+            values = [int(x) for x in parts[1:]]
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: non-integer token") from exc
+        if kind == "m":
+            if m is not None:
+                raise ValueError(f"line {lineno}: duplicate 'm' statement")
+            if len(values) != 1:
+                raise ValueError(f"line {lineno}: 'm' takes exactly one integer")
+            m = values[0]
+        elif kind == "facet":
+            if m is None:
+                raise ValueError(f"line {lineno}: 'facet' before 'm'")
+            facets.append(values)
+        elif kind == "nonsimplex":
+            if m is None:
+                raise ValueError(f"line {lineno}: 'nonsimplex' before 'm'")
+            nonsimp.append(values)
+        else:
+            raise ValueError(f"line {lineno}: unknown statement {kind!r}")
+    if m is None:
+        raise ValueError("missing 'm' statement")
+    if facets and nonsimp:
+        raise ValueError("'facet' and 'nonsimplex' statements are mutually exclusive")
+    if nonsimp:
+        return SimplicialComplex.from_min_nonsimplices(m, nonsimp)
+    return SimplicialComplex.from_facets(m, facets)
+
+
+def parse_outcome(parse, text):
+    """The parsed complex, or the message of the ValueError raised."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@st.composite
+def complex_texts(draw):
+    """Complex texts mixing the token table's keys with tokens it lacks:
+    zero, m + 1, leading zeros and signs, underscores, non-integers and a
+    non-ASCII digit; repeated vertices, tabs, CRLF line ends, comments,
+    blank lines, empty statements, and a missing, repeated or malformed m."""
+    m = draw(st.sampled_from([0, 1, 2, 3, 5, 9, 64, 65]))
+    table = st.integers(1, max(m, 1)).map(str)
+    odd = st.sampled_from(["0", str(m + 1), "01", "+3", "1_0", "-1", "٣", "99999999999999999999"])
+    vertices = st.lists(st.one_of(table, table, table, odd), max_size=6)
+    facet = vertices.map(lambda vs: " ".join(["facet", *vs]))
+    statement = st.one_of(
+        facet, facet, facet,
+        vertices.map(lambda vs: " ".join(["nonsimplex", *vs])),
+        st.sampled_from(["", "  ", "# comment", "facet", "nonsimplex", "facet 1 1 1",
+                         "facet 1 x", "facet 2.0", "widget 1", "widget x", f"m {m}", "m",
+                         "m 3 4"]),
+    )
+    lines = draw(st.lists(statement, max_size=8))
+    m_line = draw(st.sampled_from([f"m {m}", f"m\t{m}", f"m {m}  # vertices", f"m 0{m}", None]))
+    if m_line is not None:
+        lines.insert(draw(st.sampled_from([0, 0, len(lines) // 2])), m_line)
+    out = []
+    for line in lines:
+        if draw(st.booleans()):
+            line = line.replace(" ", "\t")
+        if draw(st.booleans()):
+            line += " # note"
+        out.append(line + draw(st.sampled_from(["\n", "\r\n"])))
+    return "".join(out)
+
+
+@settings(max_examples=300)
+@given(complex_texts())
+def test_complex_text_parser_matches_the_int_reference(text):
+    assert parse_outcome(formats.parse_complex_text, text) == parse_outcome(
+        parse_complex_text_reference, text
+    )
+
+
+def test_complex_text_parser_reports_each_error_as_the_reference():
+    # one case per message, in the order the reference meets them
+    for text in (
+        "m 3\nfacet 1 9\nfacet 2 x\n",  # a non-integer token after a vertex out of range
+        "m 3\nfacet 01 +3\nfacet 1_0\n",  # tokens outside the table, out of range late
+        "m 65\nfacet 1 66\n",  # m out of range before the vertex
+        "m 0\nfacet 1\n",
+        "m 3\nfacet 4\nnonsimplex 1\n",  # mixed forms before the range
+        "m 4\nnonsimplex 5\n",
+        "m 2\nfacet 1 2\n",  # accepted
+        "m 3\r\nfacet\t01 2 # c\r\n\r\nfacet 3 3\r\n",  # accepted
+    ):
+        assert parse_outcome(formats.parse_complex_text, text) == parse_outcome(
+            parse_complex_text_reference, text
+        ), text
 
 
 def test_complex_json_roundtrip():
@@ -160,6 +269,27 @@ def test_cli_gen_and_analyze(tmp_path):
     code, text = run_cli(tmp_path, "analyze", str(sq))
     assert code == 0
     assert text.rstrip().endswith("s(K) = 2 (exact)")
+
+
+def test_python_m_buchstaber_runs_the_cli(tmp_path):
+    # the package's own source directory first on the path, as from a checkout
+    src = Path(formats.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p
+    ))
+    sq = tmp_path / "sq.cplx"
+    sq.write_text(formats.complex_to_text(cycle(4)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "buchstaber", "analyze", str(sq)],
+        capture_output=True, text=True, env=env, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run_cli(tmp_path, "analyze", str(sq))[1]
+    bad = subprocess.run(
+        [sys.executable, "-m", "buchstaber", "analyze", str(tmp_path / "missing.cplx")],
+        capture_output=True, text=True, env=env, timeout=120, check=False,
+    )
+    assert bad.returncode == 1 and bad.stderr.startswith("error: ")
 
 
 def test_cli_gen_cyclic_then_analyze(tmp_path):

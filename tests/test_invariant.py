@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from buchstaber import gf2, invariant, zlattice
 from buchstaber.cli import main
-from buchstaber.complexes import SimplicialComplex, face_mask, face_vertices
+from buchstaber.complexes import SimplicialComplex, face_mask, face_vertices, incidence
 from buchstaber.generators import (
     boundary_simplex,
     complete_graph,
@@ -526,6 +526,48 @@ def test_check_criteria_matches_unconditional_scans(
     assert skipped > 50
 
 
+def polytopes_wide_members():
+    """The 30 complexes of the benchmark's polytopes-wide workload at seed 0,
+    which keeps the generated labels: cyclic polytopes, joins, 2-skeleta of
+    simplices, and seeded random complexes at m = 9..16."""
+    cyclic = [(3, 9), (4, 9), (3, 10), (4, 10), (5, 10), (7, 10), (3, 12), (4, 12), (5, 12),
+              (7, 12), (4, 13), (3, 14), (4, 14), (5, 14), (9, 14), (5, 16), (12, 14), (13, 15)]
+    d4 = boundary_simplex(4)
+    members = [cyclic_polytope_boundary(d, n) for d, n in cyclic]
+    members += [join(join(d4, d4), d4), join(cycle(6), boundary_simplex(3))]
+    members += [skeleton(n, 2) for n in (9, 11, 13, 15)]
+    members += [random_complex(14, g, 3, 4, 2) for g in (14001, 14002, 14003)]
+    members += [random_complex(16, g, 4, 5, 4) for g in (16001, 16002, 16003)]
+    return members
+
+
+def test_check_criteria_matches_unconditional_scans_on_polytopes_wide():
+    members = polytopes_wide_members()
+    assert len(members) == 30
+    for K in members:
+        found = naive_first_configurations(K.minimal_nonsimplices())
+        expected = (len(found), found[-1]) if found else (0, None)
+        assert check_criteria(K) == expected, K
+
+
+@pytest.mark.parametrize(
+    "K, level, case, sets",
+    [
+        # case 4 is searched through and refuted before case 3 matches
+        (cyclic_polytope_boundary(9, 14), 3, 3,
+         [[2, 4, 6, 8, 10], [3, 5, 7, 9, 11], [2, 4, 6, 11, 13], [1, 3, 8, 10, 12, 14],
+          [1, 5, 7, 9, 12, 14]]),
+        (skeleton(15, 2), 3, 5, [[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12]]),
+        # every level-3 case is searched through and refuted
+        (cyclic_polytope_boundary(7, 10), 2, 2, [[2, 4, 6, 8], [3, 5, 7, 9]]),
+    ],
+    ids=["C9(14)", "skeleton(15,2)", "C7(10)"],
+)
+def test_check_criteria_pinned_witnesses(K, level, case, sets):
+    lvl, w = check_criteria(K)
+    assert (lvl, w.level, w.case, [face_vertices(s) for s in w.sets]) == (level, level, case, sets)
+
+
 def test_s_real_interval_on_max_k_cap():
     r = s_real(points(8), max_k=2)
     assert not r.exact
@@ -690,6 +732,12 @@ def naive_first_configuration(nonsimp, level):
     return None
 
 
+def first_configurations(ns):
+    """The scan's first configuration of each level 1..3, with the
+    incidence of the non-faces ns built in the call."""
+    return list(_first_configurations(ns, incidence(ns, max(ns, default=0).bit_length()), 3))
+
+
 def naive_first_configurations(nonsimp):
     """The oracle's first configuration of each level 1..3, up to the first
     level without one. It scans every level, and checks that none above
@@ -738,7 +786,7 @@ def test_level3_scan_matches_naive_scan_on_corpora(
 ):
     for K in random_corpus + census_complexes + named_corpus:
         ns = K.minimal_nonsimplices()
-        assert list(_first_configurations(ns, 3)) == naive_first_configurations(ns), K
+        assert first_configurations(ns) == naive_first_configurations(ns), K
 
 
 def polytopes_and_skeleta():
@@ -767,7 +815,7 @@ def test_level3_scan_matches_naive_scan_on_polytopes_and_skeleta():
     outcomes = set()
     for K in polytopes_and_skeleta():
         ns = K.minimal_nonsimplices()
-        found = list(_first_configurations(ns, 3))
+        found = first_configurations(ns)
         assert found == naive_first_configurations(ns), K
         outcomes.update((w.level, w.case) for w in found)
         if len(found) == 2:
@@ -830,7 +878,7 @@ def antichains(draw):
 @settings(max_examples=300)
 @given(antichains())
 def test_level3_scan_matches_naive_scan_on_antichains(ns):
-    found = list(_first_configurations(ns, 3))
+    found = first_configurations(ns)
     assert found == naive_first_configurations(ns)
     assert all(satisfies_its_case(w) for w in found)
 
@@ -894,7 +942,7 @@ def test_level3_scan_skips_cases_whose_disjoint_slots_cannot_fit():
     K = skeleton(15, 4)
     ns = K.minimal_nonsimplices()
     t0 = time.perf_counter()
-    found = list(_first_configurations(ns, 3))
+    found = first_configurations(ns)
     assert time.perf_counter() - t0 < 1.0
     assert [(w.level, w.case) for w in found] == [(1, 1), (2, 2), (3, 4)]
     assert check_criteria(K) == (3, found[-1]) and satisfies_its_case(found[-1])
@@ -1056,9 +1104,13 @@ def test_cover_greedy_fallback():
     assert cover_lower_bound(K) == CoverBound(1, (15, 240, 771), True, True)
 
 
+def greedy_cover(nonsimp, m):
+    return _greedy_cover(nonsimp, m, incidence(nonsimp, m))
+
+
 def test_greedy_cover_rejects_nonfaces_that_do_not_cover():
     with pytest.raises(ValueError):
-        _greedy_cover([0b011], 3)
+        greedy_cover([0b011], 3)
 
 
 def test_greedy_cover_breaks_equal_ratios_by_index():
@@ -1068,12 +1120,12 @@ def test_greedy_cover_breaks_equal_ratios_by_index():
     # first pick: cost/new 1/2 beats 2/3, and {1,2} is the lowest index at
     # 1/2. Second pick: {2,3} (1/1), {1,3,4} (2/2) and {2,4} (1/1) tie, so
     # the lowest index wins, whichever of them comes first.
-    assert _greedy_cover(masks([1, 2], [2, 3], [1, 3, 4], [2, 4]), 4) == [0, 1, 3]
-    assert _greedy_cover(masks([1, 2], [1, 3, 4], [2, 3], [2, 4]), 4) == [0, 1]
+    assert greedy_cover(masks([1, 2], [2, 3], [1, 3, 4], [2, 4]), 4) == [0, 1, 3]
+    assert greedy_cover(masks([1, 2], [1, 3, 4], [2, 3], [2, 4]), 4) == [0, 1]
     # the ratio, not the raw cost, decides: after {5,6}, {1,2,3} at 2/3
     # comes before {4,5} at 1/1
     sets = [face_mask(s, 6) for s in ([5, 6], [4, 5], [1, 2, 3])]
-    assert _greedy_cover(sets, 6) == [0, 2, 1]
+    assert greedy_cover(sets, 6) == [0, 2, 1]
 
 
 @st.composite
@@ -1110,7 +1162,7 @@ def greedy_cover_reference(nonsimp, m):
 @given(covering_antichains())
 def test_greedy_cover_matches_the_full_scan(case):
     nonsimp, m = case
-    assert _greedy_cover(nonsimp, m) == greedy_cover_reference(nonsimp, m)
+    assert greedy_cover(nonsimp, m) == greedy_cover_reference(nonsimp, m)
 
 
 def test_chromatic_number():
