@@ -245,15 +245,19 @@ class SimplicialComplex:
         return self._dim
 
     def contains_face(self, sigma: int) -> bool:
-        """Read from the face table once minimal_nonsimplices() has built it,
-        else by a scan of the facets; a fresh complex builds no table."""
+        """At m <= SCAN_VERTEX_LIMIT, read from the face table, which the
+        first call builds through minimal_nonsimplices(); above it, by a
+        scan of the facets."""
         table = self._faces
-        if table is not None:
-            return 0 <= sigma < len(table) and table[sigma] == "1"
-        for f in self.facets:
-            if sigma & ~f == 0:
-                return True
-        return False
+        if table is None:
+            if self.m > SCAN_VERTEX_LIMIT:
+                for f in self.facets:
+                    if sigma & ~f == 0:
+                        return True
+                return False
+            self.minimal_nonsimplices()
+            table = self._faces
+        return 0 <= sigma < len(table) and table[sigma] == "1"
 
     def minimal_nonsimplices(self) -> tuple[int, ...]:
         """The antichain of minimal non-faces, canonically ordered; cached.

@@ -136,16 +136,30 @@ def complex_to_text(K: SimplicialComplex) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_complex_json(text: str) -> SimplicialComplex:
+    """Every malformed value is refused with ValueError: a JSON m or vertex
+    that is not an integer, or a face list that is not a list of lists."""
     obj = json.loads(text)
     if not isinstance(obj, dict) or "m" not in obj:
         raise ValueError("complex JSON must be an object with an 'm' field")
     m = obj["m"]
+    if not _is_int(m):
+        raise ValueError("complex JSON field 'm' must be an integer")
     if "facets" in obj and "nonsimplices" in obj:
         raise ValueError("'facets' and 'nonsimplices' are mutually exclusive")
-    if "nonsimplices" in obj:
-        return SimplicialComplex.from_min_nonsimplices(m, obj["nonsimplices"])
-    return SimplicialComplex.from_facets(m, obj.get("facets", []))
+    key = "nonsimplices" if "nonsimplices" in obj else "facets"
+    faces = obj.get(key, [])
+    if not isinstance(faces, list) or not all(
+        isinstance(f, list) and all(map(_is_int, f)) for f in faces
+    ):
+        raise ValueError(f"complex JSON field {key!r} must be a list of lists of integer vertices")
+    if key == "nonsimplices":
+        return SimplicialComplex.from_min_nonsimplices(m, faces)
+    return SimplicialComplex.from_facets(m, faces)
 
 
 def complex_to_json(K: SimplicialComplex) -> str:

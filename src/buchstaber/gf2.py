@@ -14,8 +14,9 @@ MAX_DIM = 16
 CIRCUIT_MAX_DIM = 8
 
 
-def rank(rows: Iterable[int]) -> int:
-    """Rank over GF(2) via an incremental XOR basis keyed by lowest set bit."""
+def _xor_basis(rows: Iterable[int]) -> dict[int, int]:
+    """Incremental XOR basis of the rows' span, keyed by each member's
+    lowest set bit; no two members share that bit."""
     pivots: dict[int, int] = {}
     for v in rows:
         while v:
@@ -25,7 +26,12 @@ def rank(rows: Iterable[int]) -> int:
                 pivots[low] = v
                 break
             v ^= b
-    return len(pivots)
+    return pivots
+
+
+def rank(rows: Iterable[int]) -> int:
+    """Rank over GF(2): the size of the rows' XOR basis."""
+    return len(_xor_basis(rows))
 
 
 def spans_full(rows: Sequence[int], k: int) -> bool:
@@ -78,15 +84,7 @@ def kernel_basis(rows: Iterable[int], n: int) -> list[int]:
     One basis vector per free coordinate of the reduced echelon form,
     ordered by coordinate.
     """
-    pivots: dict[int, int] = {}
-    for v in rows:
-        while v:
-            low = v & -v
-            b = pivots.get(low)
-            if b is None:
-                pivots[low] = v
-                break
-            v ^= b
+    pivots = _xor_basis(rows)
     reduced: dict[int, int] = {}
     for low in sorted(pivots, reverse=True):
         vec = pivots[low]

@@ -15,7 +15,7 @@ from math import comb
 from typing import Iterator, Optional, Sequence
 
 from . import gf2, zlattice
-from .complexes import SimplicialComplex, full_mask
+from .complexes import SimplicialComplex, full_mask, incidence
 
 GF2 = "gf2"
 INT = "int"
@@ -89,7 +89,9 @@ def verify_Lambda(K: SimplicialComplex, rows: Sequence, ring: str) -> bool:
 
 
 def verify_Lambda_detailed(K: SimplicialComplex, rows: Sequence, ring: str):
-    """Checked as the rows of each column-submatrix spanning the full space.
+    """Checked as the rows of each column-submatrix spanning the full space;
+    over GF(2), as the facet's columns of the one transpose being
+    independent.
 
     A zero-row matrix (k = m) is vacuously accepted; at that degenerate
     boundary only the parametric condition is meaningful.
@@ -99,6 +101,7 @@ def verify_Lambda_detailed(K: SimplicialComplex, rows: Sequence, ring: str):
         return True, None
     if ring == GF2:
         _check_gf2_width(rows, K.m)
+        columns = incidence(rows, K.m)
     elif any(len(r) != K.m for r in rows):
         raise ValueError("dual matrix rows must have one entry per vertex")
     for sigma in K.facets:
@@ -107,11 +110,7 @@ def verify_Lambda_detailed(K: SimplicialComplex, rows: Sequence, ring: str):
             continue
         cols = [c for c in range(K.m) if sigma >> c & 1]
         if ring == GF2:
-            sub = [
-                sum(((row >> c) & 1) << idx for idx, c in enumerate(cols))
-                for row in rows
-            ]
-            good = gf2.spans_full(sub, r)
+            good = gf2.rank([columns[c] for c in cols]) == r
         else:
             sub = [[row[c] for c in cols] for row in rows]
             good = zlattice.rows_span_lattice(sub, r)
@@ -170,18 +169,18 @@ def _projective_reps(p: int, k: int):
 def verify_nonsimplex_condition(K: SimplicialComplex, rows: Sequence, k: int, ring: str) -> bool:
     """Every nonzero vector must pair to nonzero with all rows of some
     minimal non-face (over GF(2), or mod every relevant prime). The rows a
-    vector serves contain a minimal non-face iff they are not a face, which
-    is read from the face table that N(K) leaves at m <= SCAN_VERTEX_LIMIT."""
+    vector serves contain a minimal non-face iff they are not a face
+    (K.contains_face). Over GF(2) the rows vector a serves are the XOR of
+    the transposed columns j in a, so the vectors are walked in Gray-code
+    order, one column XOR per step."""
     _check_rows(K, rows, k, ring)
     if k == 0:
         return True
-    K.minimal_nonsimplices()
     if ring == GF2:
-        for a in range(1, 1 << k):
-            served = 0
-            for i, row in enumerate(rows):
-                if (a & row).bit_count() & 1:
-                    served |= 1 << i
+        columns = incidence(rows, k)
+        served = 0
+        for step in range(1, 1 << k):
+            served ^= columns[(step & -step).bit_length() - 1]
             if K.contains_face(served):
                 return False
         return True
@@ -207,10 +206,8 @@ def dual_lambda(rows: Sequence, m: int, k: int, ring: str) -> list:
     if len(rows) != m:
         raise ValueError("row count does not match vertex count")
     if ring == GF2:
-        cols = [
-            sum(((rows[i] >> j) & 1) << i for i in range(m)) for j in range(k)
-        ]
-        basis = gf2.kernel_basis(cols, m)
+        _check_gf2_width(rows, k)
+        basis = gf2.kernel_basis(incidence(rows, k), m)
         if len(basis) != m - k:
             raise ValueError("matrix does not have full column rank over GF(2)")
         return basis
@@ -273,6 +270,8 @@ def xi_witness_exists(K: SimplicialComplex, k: int) -> Optional[bool]:
     EXISTENCE_SCAN_LIMIT; never returns a wrong answer. `s_real` runs the
     same scan at every rank >= 4, under its budget above that limit.
     """
+    if k < 0:
+        raise ValueError("k must be >= 0")
     if k == 0:
         return True
     if k > K.m or not K.minimal_nonsimplices():
@@ -293,10 +292,9 @@ def _good_span(K: SimplicialComplex, k: int, budget: Optional[list] = None) -> O
     tested takes one unit from `budget[0]`, which callers may share across
     scans, and SearchBudgetExceeded is raised when none is left.
 
-    A vector contains a minimal non-face iff it is not a face, read from
-    the face table that N(K) leaves at m <= SCAN_VERTEX_LIMIT.
+    A vector contains a minimal non-face iff it is not a face
+    (K.contains_face).
     """
-    K.minimal_nonsimplices()
     is_face = K.contains_face
     m = K.m
     span = [0]
@@ -591,24 +589,7 @@ def matrix_search(K: SimplicialComplex, k: int) -> Optional[list[int]]:
         return None
     outs.sort(key=len)
     for rows in product(range(1 << k), repeat=m):
-        for out in outs:
-            pivots: dict[int, int] = {}
-            cnt = 0
-            for i in out:
-                v = rows[i]
-                while v:
-                    low = v & -v
-                    b = pivots.get(low)
-                    if b is None:
-                        pivots[low] = v
-                        cnt += 1
-                        break
-                    v ^= b
-                if cnt == k:
-                    break
-            if cnt < k:
-                break
-        else:
+        if all(gf2.spans_full([rows[i] for i in out], k) for out in outs):
             return list(rows)
     return None
 
@@ -1020,9 +1001,6 @@ def cover_lower_bound(K: SimplicialComplex) -> CoverBound:
         cost = sum(nonsimp[i].bit_count() - 1 for i in picked)
         return CoverBound(m - cost, tuple(sorted(nonsimp[i] for i in picked)), True, True)
     costs = [w.bit_count() - 1 for w in nonsimp]
-    sets_with = [
-        [idx for idx, w in enumerate(nonsimp) if w >> v & 1] for v in range(m)
-    ]
     # cheapest possible cost per newly covered vertex, rn / rd: (s - 1) / s
     # for the least |w| = s, as (|w| - 1) / |w| grows with |w|
     rd = min(w.bit_count() for w in nonsimp)
@@ -1044,10 +1022,13 @@ def cover_lower_bound(K: SimplicialComplex) -> CoverBound:
         if cost + lower >= best_cost:
             return
         v = ((full & ~covered) & -(full & ~covered)).bit_length() - 1
-        for idx in sets_with[v]:
-            w = nonsimp[idx]
+        cand = containing[v]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            idx = low.bit_length() - 1
             chosen.append(idx)
-            dfs(covered | w, cost + costs[idx], chosen)
+            dfs(covered | nonsimp[idx], cost + costs[idx], chosen)
             chosen.pop()
 
     dfs(0, 0, [])

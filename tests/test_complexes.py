@@ -286,6 +286,30 @@ def test_wide_complex_takes_transversals_without_a_table(monkeypatch):
     assert K.contains_face(0b11 << 62) and not K.contains_face(1 << 8)
 
 
+@pytest.mark.parametrize(
+    "K",
+    [
+        cycle(6),
+        random_complex(9, 5, 1, 2, 2),
+        skeleton(15, 2),  # m = 16, the largest m with a face table
+        skeleton(16, 2),  # m = 17
+        SimplicialComplex(64, [0b11 << i for i in range(7)] + [0b111 << 58, 0b11 << 62]),
+    ],
+    ids=lambda K: f"m{K.m}",
+)
+def test_fresh_complex_face_tests_read_a_table_only_up_to_the_limit(K):
+    # no N(K) asked for first: the first face test builds the table at
+    # m <= SCAN_VERTEX_LIMIT, and above it every face test scans the facets
+    top = full_mask(K.m)
+    sigmas = [0, 1, 0b11, 0b111, 0b1111, 1 << K.m - 1, 0b11 << K.m - 2, top, -1, top + 1]
+    assert [K.contains_face(s) for s in sigmas] == [is_face(K, s) for s in sigmas]
+    assert (K._faces is not None) == (K.m <= SCAN_VERTEX_LIMIT)
+    if K.m <= 10:
+        assert [K.contains_face(s) for s in range(1 << K.m)] == [
+            is_face(K, s) for s in range(1 << K.m)
+        ]
+
+
 def _random_corpus():
     out = []
     for seed in range(40):

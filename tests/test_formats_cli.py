@@ -168,6 +168,27 @@ def test_complex_json_roundtrip():
         formats.parse_complex_json("[1, 2]")
 
 
+MALFORMED_COMPLEX_JSON = [
+    '{"m": "3", "facets": [[1]]}',
+    '{"m": 3, "facets": 5}',
+    '{"m": 3, "facets": [["2"]]}',
+    '{"m": 3, "nonsimplices": [[1], "x"]}',
+    '{"m": 3.0, "facets": [[1]]}',
+    '{"m": 3, "facets": [[true]]}',
+    '{"m": 3, "nonsimplices": {"1": [2]}}',
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED_COMPLEX_JSON)
+def test_malformed_complex_json_is_an_input_error(text, tmp_path, capsys):
+    with pytest.raises(ValueError):
+        formats.parse_complex_json(text)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_matrix_text_roundtrip():
     rows = [[1, -2, 3], [0, 4, -5]]
     assert formats.parse_matrix_text("1 -2 3\n0 4 -5\n") == rows

@@ -271,6 +271,15 @@ def test_xi_existence_filter_matches_search():
             assert ex == (w is not None)
 
 
+def test_xi_witness_exists_rejects_negative_rank():
+    from buchstaber.invariant import xi_witness_exists
+
+    # refused before any scan, as xi_search refuses it
+    for search in (xi_witness_exists, xi_search):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            search(cycle(8), -1)
+
+
 def test_xi_search_monotone_in_k():
     for seed in range(20):
         K = random_complex(5 + seed % 3, 7700 + seed, 1, 2, seed % 2)
@@ -346,11 +355,14 @@ def test_xi_to_matrix_rejects_invalid_witness():
 
 
 def test_matrix_search_oracle():
-    assert matrix_search(cycle(4), 2) is not None
+    # the first passing matrices in row-tuple order, pinned as the scan with
+    # its own pivot loop returned them
+    assert matrix_search(cycle(4), 2) == [1, 2, 1, 2]
+    assert matrix_search(cycle(5), 3) == [1, 2, 4, 3, 5]
     assert matrix_search(boundary_simplex(2), 2) is None
     assert matrix_search(simplex(2), 1) is None
     rows = matrix_search(points(3), 2)
-    assert rows is not None and verify_S(points(3), rows, 2, "gf2")
+    assert rows == [1, 2, 3] and verify_S(points(3), rows, 2, "gf2")
     with pytest.raises(ValueError):
         matrix_search(points(6), 3)  # 18 bits above the scan limit
 
@@ -1206,6 +1218,17 @@ def test_dual_lambda_int():
     assert verify_Lambda(cycle(4), lam, "int")
     with pytest.raises(ValueError):
         dual_lambda([[2, 0], [0, 1], [0, 0]], 3, 2, "int")
+
+
+def test_dual_lambda_gf2_rejects_rows_wider_than_k():
+    # row 0b11 has a bit in column 2 of a 2 x 1 matrix; verify_S refuses
+    # the same rows
+    with pytest.raises(ValueError, match="at most 1 bits"):
+        dual_lambda([0b11, 0b10], 2, 1, "gf2")
+    with pytest.raises(ValueError, match="at most 1 bits"):
+        verify_S(points(2), [0b11, 0b10], 1, "gf2")
+    with pytest.raises(ValueError):
+        dual_lambda([-1, 1], 2, 1, "gf2")
 
 
 def test_dual_lambda_on_corpus_witnesses():

@@ -2,13 +2,17 @@
 the two minimal non-face algorithms agree with the definition, the face
 table agrees with the facet scan, the minimal transversals match a
 brute-force oracle and satisfy Berge duality, the constructor keeps exactly
-the maximal facets, and the matrix verifiers agree with each other."""
+the maximal facets, the matrix verifiers agree with each other, and the
+GF(2) verifiers that read the shared transpose agree with the per-row loops
+they replaced."""
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from buchstaber import zlattice
+from buchstaber import gf2, zlattice
 from buchstaber.complexes import (
+    TRANSPOSE_MIN_MASKS,
     SimplicialComplex,
     minimal_nonsimplices_by_scan,
     minimal_nonsimplices_by_transversal,
@@ -23,6 +27,7 @@ from buchstaber.invariant import (
     condition_prime_set,
     dual_lambda,
     verify_Lambda,
+    verify_Lambda_detailed,
     verify_nonsimplex_condition,
     verify_S,
     xi_search,
@@ -157,11 +162,10 @@ def test_face_table_agrees_with_the_facet_scan(case):
     m, facets = case
     K = SimplicialComplex(m, facets)
     masks = [-1, *range(1 << m), 1 << m, (1 << m) | 1]
-    by_facets = [K.contains_face(s) for s in masks]
-    assert K._faces is None  # face tests alone build no table
-    K.minimal_nonsimplices()
-    assert K._faces is not None
+    # the definition: sigma is a face iff it lies inside some facet
+    by_facets = [any(s & ~f == 0 for f in K.facets) for s in masks]
     assert [K.contains_face(s) for s in masks] == by_facets
+    assert K._faces is not None
 
 
 @settings(max_examples=300)
@@ -250,3 +254,73 @@ def test_verifiers_agree(case):
         assert set(new) <= set(old)
         if all(full_rank([rows[i] for i in range(K.m) if not sigma >> i & 1], k) for sigma in K.facets):
             assert new == old
+
+
+def gathered_verify_lambda(K, rows):
+    """verify_Lambda_detailed over GF(2) by a per-row, per-facet bit gather:
+    each facet's column submatrix, row by row, must span Z_2^|facet|."""
+    if not rows:
+        return True, None
+    for sigma in K.facets:
+        r = sigma.bit_count()
+        if r == 0:
+            continue
+        cols = [c for c in range(K.m) if sigma >> c & 1]
+        sub = [sum(((row >> c) & 1) << idx for idx, c in enumerate(cols)) for row in rows]
+        if not gf2.spans_full(sub, r):
+            return False, sigma
+    return True, None
+
+
+def parity_nonface_condition(K, rows, k):
+    """The GF(2) non-face condition by a parity loop over every row for
+    every vector, with faces tested against the facets."""
+    for a in range(1, 1 << k):
+        served = 0
+        for i, row in enumerate(rows):
+            if (a & row).bit_count() & 1:
+                served |= 1 << i
+        if any(served & ~f == 0 for f in K.facets):
+            return False
+    return True
+
+
+def column_sum_dual(rows, m, k):
+    """The kernel basis of the GF(2) columns, each summed bit by bit."""
+    cols = [sum(((rows[i] >> j) & 1) << i for i in range(m)) for j in range(k)]
+    return gf2.kernel_basis(cols, m)
+
+
+@st.composite
+def gf2_matrices_on_both_sides_of_the_transpose(draw):
+    """A complex on m < TRANSPOSE_MIN_MASKS or m >= TRANSPOSE_MIN_MASKS
+    vertices with an m x k GF(2) matrix (zero rows frequent, so that some
+    served sets are faces) and m-bit dual rows, fewer than
+    TRANSPOSE_MIN_MASKS of them or at least that many when m allows."""
+    lo = TRANSPOSE_MIN_MASKS
+    m = draw(st.one_of(st.integers(1, 10), st.integers(lo, lo + 8)))
+    mask = st.integers(0, (1 << m) - 1)
+    facets = [
+        draw(mask) | draw(mask) if draw(st.booleans()) else draw(mask) & draw(mask)
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    K = SimplicialComplex(m, facets)
+    k = draw(st.integers(0, min(m, 5)))
+    rows = draw(st.lists(st.one_of(st.just(0), st.integers(0, (1 << k) - 1)), min_size=m, max_size=m))
+    n = draw(st.one_of(st.integers(0, min(m, lo - 1)), st.integers(min(m, lo), m)))
+    dual = draw(st.lists(mask, min_size=n, max_size=n))
+    return K, rows, k, dual
+
+
+@settings(max_examples=300)
+@given(gf2_matrices_on_both_sides_of_the_transpose())
+def test_gf2_verifiers_match_the_per_row_loops(case):
+    K, rows, k, dual = case
+    assert verify_Lambda_detailed(K, dual, "gf2") == gathered_verify_lambda(K, dual)
+    assert verify_nonsimplex_condition(K, rows, k, "gf2") == parity_nonface_condition(K, rows, k)
+    want = column_sum_dual(rows, K.m, k)
+    if len(want) == K.m - k:
+        assert dual_lambda(rows, K.m, k, "gf2") == want
+    else:
+        with pytest.raises(ValueError):
+            dual_lambda(rows, K.m, k, "gf2")
