@@ -10,7 +10,7 @@ integers a list of length-m rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import comb
 from typing import Iterator, Optional, Sequence
 
@@ -50,12 +50,19 @@ def _check_gf2_width(rows: Sequence[int], width: int) -> None:
         raise ValueError(f"GF(2) row masks must have at most {width} bits")
 
 
+def _check_int_width(rows: Sequence, width: int) -> None:
+    if set(map(len, rows)) - {width} or set(map(type, chain.from_iterable(rows))) - {int}:
+        raise ValueError(f"each integer row must have {width} entries, all ints")
+
+
 def _check_rows(K: SimplicialComplex, rows: Sequence, k: int, ring: str) -> None:
     _check_ring(ring)
     if len(rows) != K.m:
         raise ValueError(f"matrix has {len(rows)} rows, complex has {K.m} vertices")
     if ring == GF2:
         _check_gf2_width(rows, k)
+    else:
+        _check_int_width(rows, k)
 
 
 # ---------------------------------------------------------------------------
@@ -71,15 +78,22 @@ def verify_S(K: SimplicialComplex, rows: Sequence, k: int, ring: str) -> bool:
 def verify_S_detailed(K: SimplicialComplex, rows: Sequence, k: int, ring: str):
     """Like verify_S but also reports the first failing maximal simplex."""
     _check_rows(K, rows, k, ring)
+    sigma = _first_unspanning_facet(K, rows, k, ring)
+    return sigma is None, sigma
+
+
+def _first_unspanning_facet(K: SimplicialComplex, rows: Sequence, k: int, ring: str) -> Optional[int]:
+    """The first facet whose outside rows do not span the rank-k lattice;
+    over Z they are read lazily, so the echelon stops at Z^k."""
+    m = K.m
     for sigma in K.facets:
-        outside = [rows[i] for i in range(K.m) if not sigma >> i & 1]
         if ring == GF2:
-            good = gf2.spans_full(outside, k)
+            good = gf2.spans_full([rows[i] for i in range(m) if not sigma >> i & 1], k)
         else:
-            good = zlattice.rows_span_lattice(outside, k)
+            good = zlattice.rows_span_lattice((rows[i] for i in range(m) if not sigma >> i & 1), k)
         if not good:
-            return False, sigma
-    return True, None
+            return sigma
+    return None
 
 
 def verify_Lambda(K: SimplicialComplex, rows: Sequence, ring: str) -> bool:
@@ -91,7 +105,8 @@ def verify_Lambda(K: SimplicialComplex, rows: Sequence, ring: str) -> bool:
 def verify_Lambda_detailed(K: SimplicialComplex, rows: Sequence, ring: str):
     """Checked as the rows of each column-submatrix spanning the full space;
     over GF(2), as the facet's columns of the one transpose being
-    independent.
+    independent; over Z, as the facet's columns of the transpose, zipped
+    back into rows, spanning Z^|facet|.
 
     A zero-row matrix (k = m) is vacuously accepted; at that degenerate
     boundary only the parametric condition is meaningful.
@@ -102,77 +117,39 @@ def verify_Lambda_detailed(K: SimplicialComplex, rows: Sequence, ring: str):
     if ring == GF2:
         _check_gf2_width(rows, K.m)
         columns = incidence(rows, K.m)
-    elif any(len(r) != K.m for r in rows):
-        raise ValueError("dual matrix rows must have one entry per vertex")
+    else:
+        _check_int_width(rows, K.m)
+        columns = list(zip(*rows))
     for sigma in K.facets:
         r = sigma.bit_count()
         if r == 0:
             continue
-        cols = [c for c in range(K.m) if sigma >> c & 1]
+        cols = [columns[c] for c in range(K.m) if sigma >> c & 1]
         if ring == GF2:
-            good = gf2.rank([columns[c] for c in cols]) == r
+            good = gf2.rank(cols) == r
         else:
-            sub = [[row[c] for c in cols] for row in rows]
-            good = zlattice.rows_span_lattice(sub, r)
+            good = zlattice.rows_span_lattice(zip(*cols), r)
         if not good:
             return False, sigma
     return True, None
 
 
-def _prime_factors(n: int) -> set[int]:
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
-
-
-def condition_prime_set(K: SimplicialComplex, rows: Sequence[Sequence[int]], k: int) -> list[int]:
-    """Primes that can witness a spanning failure of some outside-row matrix.
-
-    For a facet whose outside rows have full rank k, these are the primes
-    dividing the index of their lattice in Z^k, read off the elimination
-    pivots (whose product is that index); for any other prime the reduction
-    mod p already spans, so the non-face condition cannot fail there. A
-    facet of deficient rank adds 2 only: its rows fail to span mod every
-    prime, and 2 is the first one verify_nonsimplex_condition checks.
-    """
-    primes: set[int] = set()
-    for sigma in K.facets:
-        outside = [rows[i] for i in range(K.m) if not sigma >> i & 1]
-        pivots, _ = zlattice._eliminate(outside, k)
-        if pivots is None:
-            primes.add(2)
-            continue
-        for d in pivots:
-            if d > 1:
-                primes |= _prime_factors(d)
-    return sorted(primes)
-
-
-def _projective_reps(p: int, k: int):
-    """One vector per projective point of Z_p^k (first nonzero coord = 1).
-
-    Scaling by a unit preserves the pattern of nonvanishing inner products,
-    so these representatives suffice for the non-face condition.
-    """
-    for lead in range(k):
-        for tail in product(range(p), repeat=k - lead - 1):
-            yield (0,) * lead + (1,) + tail
-
-
 def verify_nonsimplex_condition(K: SimplicialComplex, rows: Sequence, k: int, ring: str) -> bool:
     """Every nonzero vector must pair to nonzero with all rows of some
-    minimal non-face (over GF(2), or mod every relevant prime). The rows a
-    vector serves contain a minimal non-face iff they are not a face
+    minimal non-face (over GF(2), or mod every prime). The rows a vector
+    serves contain a minimal non-face iff they are not a face
     (K.contains_face). Over GF(2) the rows vector a serves are the XOR of
     the transposed columns j in a, so the vectors are walked in Gray-code
-    order, one column XOR per step."""
+    order, one column XOR per step.
+
+    Over Z a vector a mod p serves a face iff it is orthogonal to the rows
+    outside some facet, so the condition fails iff those rows do not span
+    Z^k. At the first such facet the failing vector is solved for: t is the
+    first column of its echelon basis whose pivot is missing or above 1, q
+    is 2 or that pivot, a_t = 1, a_j = 0 past t, and a_j below t is
+    back-substituted mod q through the unit pivots. Its served set mod q is
+    confirmed to be a face; mod any prime p dividing q, a is nonzero and
+    serves a subset of it. Taking q whole spares factoring the pivot."""
     _check_rows(K, rows, k, ring)
     if k == 0:
         return True
@@ -184,23 +161,34 @@ def verify_nonsimplex_condition(K: SimplicialComplex, rows: Sequence, k: int, ri
             if K.contains_face(served):
                 return False
         return True
-    for p in condition_prime_set(K, rows, k):
-        for a in _projective_reps(p, k):
-            served = 0
-            for i, row in enumerate(rows):
-                if sum(x * y for x, y in zip(a, row)) % p:
-                    served |= 1 << i
-            if K.contains_face(served):
-                return False
-    return True
+    sigma = _first_unspanning_facet(K, rows, k, INT)
+    if sigma is None:
+        return True
+    slots = zlattice.echelon([rows[i] for i in range(K.m) if not sigma >> i & 1], k)
+    t = next(t for t, b in enumerate(slots) if b is None or b[t] != 1)
+    q = 2 if slots[t] is None else slots[t][t]
+    a = [0] * k
+    a[t] = 1
+    for j in range(t - 1, -1, -1):
+        a[j] = -sum(x * y for x, y in zip(a[j + 1 :], slots[j][j + 1 :])) % q
+    served = 0
+    for i, row in enumerate(rows):
+        if sum(x * y for x, y in zip(a, row)) % q:
+            served |= 1 << i
+    if not K.contains_face(served):
+        raise RuntimeError(f"vector {a} mod {q} does not serve a face outside facet {sigma:#b}")
+    return False
 
 
 def dual_lambda(rows: Sequence, m: int, k: int, ring: str) -> list:
     """Complete a passing m x k matrix to its dual (m-k) x m counterpart.
 
-    GF(2): a kernel basis of the column space. Integers: rows k.. of the
-    unimodular row transform of the gcd elimination (zlattice._eliminate),
-    which requires the columns to be part of a basis (every pivot 1).
+    GF(2): a kernel basis of the column space. Integers: each row is
+    extended by its unit vector and inserted into one echelon basis
+    (zlattice.echelon); the combinations of the rows that reduce to zero,
+    in the order they do, form the dual. This requires the columns to be
+    part of a basis (every pivot 1), and then the m - k zero rows and the k
+    unit slots are one unimodular transform of the matrix.
     """
     _check_ring(ring)
     if len(rows) != m:
@@ -211,10 +199,12 @@ def dual_lambda(rows: Sequence, m: int, k: int, ring: str) -> list:
         if len(basis) != m - k:
             raise ValueError("matrix does not have full column rank over GF(2)")
         return basis
-    pivots, u = zlattice._eliminate(rows, k, units_only=True, track=True)
-    if pivots is None or any(d != 1 for d in pivots):
+    _check_int_width(rows, k)
+    kernel: list = []
+    slots = zlattice.echelon([[*row, *[0] * i, 1, *[0] * (m - 1 - i)] for i, row in enumerate(rows)], k, kernel)
+    if any(b is None or b[t] != 1 for t, b in enumerate(slots)):
         raise ValueError("columns are not part of a basis of the integer lattice")
-    return u[k:]
+    return [v[k:] for v in kernel]
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,21 @@
 """Exact integer matrix computations: determinants, Smith invariant factors,
 lattice spanning tests, and the odd-determinant 0/1 matrix scans.
 
-The lattice questions the verifiers ask (do these rows span Z^k, which
-primes divide the index of the lattice they span, what completes these
-columns to a unimodular matrix) are answered by one column-by-column gcd
-elimination, `_eliminate`; none of them needs the invariant factors. The
-Smith reduction stays for the invariant factors themselves.
+The lattice questions the verifiers ask (do these rows span Z^k, at which
+column do they first miss a unit pivot, what completes these columns to a
+unimodular matrix) are answered by one incremental echelon basis,
+`echelon`, the integer analogue of `gf2._xor_basis`: each row is reduced
+into one slot per column, and an extended-gcd step merges a row into a
+slot whose pivot does not divide it. It reads its rows lazily and stops
+once every pivot is 1. None of these questions needs the invariant
+factors; the Smith reduction stays for the invariant factors themselves.
 
 Everything runs on Python ints; no floating point anywhere.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 Matrix = list[list[int]]
 
@@ -148,71 +151,70 @@ def smith_row_transform(mat: Sequence[Sequence[int]]) -> tuple[list[int], Matrix
     return factors, u
 
 
-def _eliminate(
-    rows: Sequence[Sequence[int]], k: int, units_only: bool = False, track: bool = False
-) -> tuple[list[int] | None, Matrix | None]:
-    """Row-echelon form of a matrix with k columns by gcd elimination.
+def _egcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b = g = gcd(a, b), for a > 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if a < 0:
+        return -a, -s0, -t0
+    return a, s0, t0
 
-    Column by column, the smallest |entry| at or below the diagonal (ties to
-    the first row) becomes the pivot and reduces the rows under it by
-    unimodular row operations until they are zero in that column. Returns
-    the |pivot| of each column, which is the diagonal of the row Hermite
-    form, so at full rank their product is the index of the row lattice in
-    Z^k. The pivot list is None when the rank is below k. With units_only
-    the elimination stops after the first pivot that is not 1. With track
-    it also returns the row transform U, so that U @ rows is the echelon
-    form and rows k.. of U annihilate the columns.
+
+def echelon(rows: Iterable[Sequence[int]], k: int, kernel: list | None = None) -> list:
+    """Echelon basis of the lattice the rows span in Z^k, one slot per column.
+
+    Slot t is None or a vector that is zero before column t and has a
+    positive pivot at t. A row is reduced into the slots in column order: it
+    goes into an empty slot, loses a multiple of a slot whose pivot divides
+    its entry, and otherwise meets the slot b (pivot p) in one unimodular
+    step with g = gcd(p, x) = s*p + u*x, where x is the row's entry: the
+    slot becomes s*b + u*row and the row (p/g)*row - (x/g)*b. The pivots are
+    the diagonal of the row Hermite form, so at full rank their product is
+    the index of the lattice.
+
+    The rows are read lazily, and reading stops once all k pivots are 1.
+    With `kernel`, every row is read and each row that reduces to zero in
+    its first k entries is appended to it; entries past k are carried
+    along, so rows extended by the identity return their combinations.
     """
-    a = [list(row) for row in rows]
-    if any(len(row) != k for row in a):
-        raise ValueError("row length does not match lattice rank")
-    r = len(a)
-    u = [[int(i == j) for j in range(r)] for i in range(r)] if track else None
-    pivots: list[int] = []
-    for t in range(k):
-        while True:
-            best = 0
-            pos = -1
-            for i in range(t, r):
-                v = abs(a[i][t])
-                if v and (not best or v < best):
-                    best, pos = v, i
-            if pos < 0:
-                return None, u
-            if pos != t:
-                a[t], a[pos] = a[pos], a[t]
-                if u is not None:
-                    u[t], u[pos] = u[pos], u[t]
-            top = a[t]
-            p = top[t]
-            clear = True
-            for i in range(t + 1, r):
-                x = a[i][t]
-                if x:
-                    q = x // p
-                    a[i] = [y - q * z for y, z in zip(a[i], top)]
-                    if u is not None:
-                        u[i] = [y - q * z for y, z in zip(u[i], u[t])]
-                    if a[i][t]:
-                        clear = False
-            if clear:
+    slots: list = [None] * k
+    units = 0
+    for v in rows:
+        for t in range(k):
+            x = v[t]
+            if not x:
+                continue
+            b = slots[t]
+            if b is None:
+                slots[t] = v if x > 0 else [-y for y in v]
+                units += x == 1 or x == -1
                 break
-        pivots.append(best)
-        if units_only and best != 1:
+            p = b[t]
+            if x % p:
+                g, s, u = _egcd(p, x)
+                slots[t] = [s * z + u * y for y, z in zip(v, b)]
+                p, x = p // g, x // g
+                v = [p * y - x * z for y, z in zip(v, b)]
+                units += g == 1
+            else:
+                x //= p
+                v = [y - x * z for y, z in zip(v, b)]
+        else:
+            if kernel is not None:
+                kernel.append(v)
+        if units == k and kernel is None:
             break
-    return pivots, u
+    return slots
 
 
-def rows_span_lattice(rows: Sequence[Sequence[int]], k: int) -> bool:
-    """True iff the rows generate the full integer lattice Z^k: every pivot
-    of their echelon form is 1 (a pivot above 1 already makes the index of
-    the row lattice exceed 1)."""
-    if k == 0:
-        return True
-    if len(rows) < k:
-        return False
-    pivots, _ = _eliminate(rows, k, units_only=True)
-    return pivots is not None and all(d == 1 for d in pivots)
+def rows_span_lattice(rows: Iterable[Sequence[int]], k: int) -> bool:
+    """True iff the rows generate the full integer lattice Z^k: every slot
+    of their echelon basis holds a pivot 1."""
+    return all(b is not None and b[t] == 1 for t, b in enumerate(echelon(rows, k)))
 
 
 def lemma_r23_scan(n: int) -> Optional[Matrix]:

@@ -7,13 +7,16 @@ instance carrying an extra glued face, keeping only complexes with at most
 the corpus stays the one the acceptance tests and the benchmark's
 sweep-small workload are built on.
 
+`nonsimplex_condition_by_enumeration` is the integer non-face condition
+from its definition, the oracle the verifier is checked against.
+
 Every property test runs under one hypothesis profile: derandomized, so a
 run draws the same examples each time, and without a per-example deadline,
 so timing on a loaded host cannot fail it. Each test sets its own
 max_examples.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import settings
@@ -98,6 +101,25 @@ def build_named_corpus():
         SimplicialComplex.from_facets(4, [[1, 2]]),
     ]
     return named
+
+
+def nonsimplex_condition_by_enumeration(K, rows, k, primes):
+    """The integer non-face condition at the given primes, by enumeration:
+    every projective point a of Z_p^k (first nonzero coordinate 1; scaling
+    by a unit keeps which rows pair to nonzero) must pair to nonzero mod p
+    with a set of rows that is no face, faces tested against the facets.
+    About p^(k-1) vectors per prime, so only for small p and k."""
+    for p in primes:
+        for lead in range(k):
+            for tail in product(range(p), repeat=k - lead - 1):
+                a = (0,) * lead + (1,) + tail
+                served = 0
+                for i, row in enumerate(rows):
+                    if sum(x * y for x, y in zip(a, row)) % p:
+                        served |= 1 << i
+                if any(served & ~f == 0 for f in K.facets):
+                    return False
+    return True
 
 
 @pytest.fixture(scope="session")

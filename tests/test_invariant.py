@@ -36,7 +36,6 @@ from buchstaber.invariant import (
     ayzenberg_s,
     check_criteria,
     chromatic_number,
-    condition_prime_set,
     cover_lower_bound,
     dual_lambda,
     matrix_search,
@@ -51,6 +50,7 @@ from buchstaber.invariant import (
     xi_search,
     xi_to_matrix,
 )
+from conftest import nonsimplex_condition_by_enumeration
 
 S3 = [0b001, 0b010, 0b011]  # rows (1,0),(0,1),(1,1)
 S3_INT = [[1, 0], [0, 1], [1, 1]]
@@ -125,19 +125,56 @@ def test_nonsimplex_condition_int():
     assert not verify_nonsimplex_condition(simplex(2), S3_INT, 2, "int")
 
 
-def test_condition_prime_set():
-    # rows (2,0),(0,1),(0,1): deleting one vertex leaves factors with a 2
+def failing_primes(K, rows, k, primes=(2, 3, 5, 7)):
+    """The primes among `primes` at which the enumeration oracle refutes
+    the integer non-face condition."""
+    return [p for p in primes if not nonsimplex_condition_by_enumeration(K, rows, k, [p])]
+
+
+def test_nonsimplex_condition_prime_witnesses():
     K = points(3)
-    primes = condition_prime_set(K, [[2, 0], [0, 1], [0, 1]], 2)
-    assert 2 in primes
-    # a spanning family everywhere needs no primes at all
-    assert condition_prime_set(K, S3_INT, 2) == []
-    # every facet leaves rows of rank 1 < 2: 2 alone, though the Smith
-    # factors (3, 0) of the rows outside vertex 3 carry a 3; the verdict
-    # already fails at 2
-    rows = [[3, 0], [6, 0], [1, 0]]
-    assert condition_prime_set(K, rows, 2) == [2]
+    # rows (2,0),(0,1),(2,1): the rows outside each vertex span a lattice of
+    # index 2, so the condition fails at 2 and at no other prime
+    rows = [[2, 0], [0, 1], [2, 1]]
     assert not verify_nonsimplex_condition(K, rows, 2, "int")
+    assert failing_primes(K, rows, 2) == [2]
+    # a spanning family everywhere fails at no prime
+    assert verify_nonsimplex_condition(K, S3_INT, 2, "int")
+    assert failing_primes(K, S3_INT, 2) == []
+    # every facet leaves rows of rank 1 < 2, which fail mod every prime,
+    # though the Smith factors (3, 0) of the rows outside vertex 3 carry a 3
+    rows = [[3, 0], [6, 0], [1, 0]]
+    assert not verify_nonsimplex_condition(K, rows, 2, "int")
+    assert failing_primes(K, rows, 2) == [2, 3, 5, 7]
+
+
+def test_nonsimplex_condition_without_enumerating_large_primes():
+    # the rows outside vertex 5 span 1 x 1 x 1 x big; only (0, 0, 0, 1) mod
+    # a prime factor of big fails, the last point an enumeration would reach
+    K = SimplicialComplex.from_facets(5, [[4], [5]])
+    for big in (5, 101, 10007, 2**61 - 1):
+        rows = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, big], [0, 0, 0, 1]]
+        assert not verify_nonsimplex_condition(K, rows, 4, "int")
+        assert not verify_S(K, rows, 4, "int")
+        if big == 5:
+            assert failing_primes(K, rows, 4) == [5]
+    rows = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 1]]
+    assert verify_nonsimplex_condition(K, rows, 4, "int")
+
+
+def test_integer_verifiers_reject_malformed_rows():
+    # vertex 1 lies in every facet, so its overlong row is never read by a
+    # facet; a float entry must not enter an exact verifier
+    cone = SimplicialComplex(3, [0b011, 0b101])
+    for K, rows, k in ((cone, [[1, 2, 3], [1], [1]], 1), (points(2), [[1.0], [1.0]], 1)):
+        with pytest.raises(ValueError):
+            verify_S(K, rows, k, "int")
+        with pytest.raises(ValueError):
+            verify_nonsimplex_condition(K, rows, k, "int")
+        with pytest.raises(ValueError):
+            dual_lambda(rows, K.m, k, "int")
+    with pytest.raises(ValueError):
+        verify_Lambda(points(2), [[1.0, 0]], "int")
 
 
 def test_xi_search_four_cycle_first_witness():
@@ -1076,18 +1113,18 @@ def test_smith_row_transform_annihilates_column_space():
 
 
 def test_nonsimplex_condition_engineered_prime_factors():
-    # invariant factors 3 and 5 must enter the finite prime set and the
-    # equivalence with the spanning condition must survive them
+    # indices of the outside-row lattices with factors 3 and 5 only: the
+    # verifier must refute without a failure at 2, and agree with verify_S
     K = points(3)
-    for s in (
-        [[3, 0], [0, 1], [1, 1]],
-        [[5, 0], [0, 5], [1, 1]],
-        [[3, 1], [2, 4], [0, 5]],
-        [[6, 0], [0, 10], [15, 1]],
+    for s, primes in (
+        ([[3, 0], [0, 1], [1, 1]], [3]),
+        ([[5, 0], [0, 5], [1, 1]], [5]),
+        ([[3, 1], [2, 4], [0, 5]], [2, 3, 5]),
+        ([[6, 0], [0, 10], [15, 1]], [2, 3, 5]),
     ):
-        assert verify_S(K, s, 2, "int") == verify_nonsimplex_condition(K, s, 2, "int")
-    primes = condition_prime_set(K, [[3, 0], [0, 1], [1, 1]], 2)
-    assert 3 in primes
+        assert failing_primes(K, s, 2) == primes
+        assert not verify_nonsimplex_condition(K, s, 2, "int")
+        assert not verify_S(K, s, 2, "int")
 
 
 def test_cover_lower_bound_examples():
@@ -1209,8 +1246,8 @@ def test_dual_lambda_gf2():
 def test_dual_lambda_int():
     rows = [[1, 1], [1, 0], [1, 1], [1, 0]]
     lam = dual_lambda(rows, 4, 2, "int")
-    # the elimination pivots on the first row of smallest |entry|, so the
-    # completion is deterministic: row 0 clears column 0, row 1 column 1
+    # rows 0 and 1 fill the two slots of the echelon basis; rows 2 and 3
+    # reduce to zero against them, in that order
     assert lam == [[-1, 0, 1, 0], [0, -1, 0, 1]]
     for lrow in lam:
         for j in range(2):

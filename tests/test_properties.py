@@ -22,9 +22,7 @@ from buchstaber.generators import skeleton
 from buchstaber.invariant import (
     COVER_SEARCH_GUARD,
     SearchBudgetExceeded,
-    _prime_factors,
     analyze,
-    condition_prime_set,
     dual_lambda,
     verify_Lambda,
     verify_Lambda_detailed,
@@ -32,6 +30,7 @@ from buchstaber.invariant import (
     verify_S,
     xi_search,
 )
+from conftest import nonsimplex_condition_by_enumeration
 
 
 def test_hypothesis_profile_is_deterministic():
@@ -177,28 +176,24 @@ def test_constructor_keeps_exactly_the_maximal_facets(case):
     assert SimplicialComplex(m, facets).facets == tuple(maximal or [0])
 
 
-def smith_condition_prime_set(K, rows, k):
-    """Reference prime set from the Smith invariant factors of each
-    outside-row matrix: the primes of the nonzero factors, plus 2 for a zero
-    factor."""
-    primes = set()
+def smith_outside_factors(K, rows, k):
+    """The Smith invariant factors of every facet's outside-row matrix,
+    padded with zeros to k. The rows span Z^k iff all are 1, and mod a
+    prime p iff p divides none (a zero factor fails mod every prime)."""
+    out = []
     for sigma in K.facets:
         outside = [rows[i] for i in range(K.m) if not sigma >> i & 1]
         factors = zlattice.smith_invariant_factors(outside) if outside else []
-        for d in list(factors) + [0] * (k - len(factors)):
-            if d == 0:
-                primes.add(2)
-            elif d > 1:
-                primes |= _prime_factors(d)
-    return sorted(primes)
+        out += list(factors) + [0] * (k - len(factors))
+    return out
 
 
 @st.composite
 def complexes_with_matrices(draw):
     """A random complex on m <= 7 vertices with an m x k matrix over GF(2)
     (row masks) or over the integers. Integer entries are 0/1 for k <= 4 or
-    in [-2, 2] for k <= 3, which keeps the primes the non-face condition
-    enumerates small; a third of the integer matrices have their first
+    in [-2, 2] for k <= 3, which keeps the primes the enumeration oracle
+    checks small; a third of the integer matrices have their first
     column tripled, so that 3 divides the index of every full-rank facet."""
     m = draw(st.integers(1, 7))
     # small facets leave many rows outside, so that full-rank facets with an
@@ -232,11 +227,6 @@ def annihilates(lam, rows, k, ring):
     return True
 
 
-def full_rank(rows, k):
-    factors = zlattice.smith_invariant_factors(rows) if rows else []
-    return len(factors) == k and all(factors)
-
-
 @settings(max_examples=400)
 @given(complexes_with_matrices())
 def test_verifiers_agree(case):
@@ -249,11 +239,12 @@ def test_verifiers_agree(case):
         assert annihilates(lam, rows, k, ring)
         assert verify_Lambda(K, lam, ring)
     if ring == "int":
-        old = smith_condition_prime_set(K, rows, k)
-        new = condition_prime_set(K, rows, k)
-        assert set(new) <= set(old)
-        if all(full_rank([rows[i] for i in range(K.m) if not sigma >> i & 1], k) for sigma in K.facets):
-            assert new == old
+        # the verdict against the Smith factors, and the definition,
+        # enumerated at each prime p <= 5, against the factors p divides
+        factors = smith_outside_factors(K, rows, k)
+        assert ok == all(d == 1 for d in factors)
+        for p in (2, 3, 5):
+            assert nonsimplex_condition_by_enumeration(K, rows, k, [p]) == all(d % p for d in factors)
 
 
 def gathered_verify_lambda(K, rows):

@@ -162,9 +162,9 @@ def test_smith_row_transform_is_unimodular():
 
 @st.composite
 def integer_matrices(draw):
-    """(rows, k): up to 8 rows of k <= 5 entries, in [-3, 3] or 0/1."""
+    """(rows, k): up to 8 rows of k <= 5 entries, in [-20, 20] or 0/1."""
     k = draw(st.integers(1, 5))
-    entries = draw(st.sampled_from([st.integers(-3, 3), st.integers(0, 1)]))
+    entries = draw(st.sampled_from([st.integers(-20, 20), st.integers(0, 1)]))
     rows = draw(st.lists(st.lists(entries, min_size=k, max_size=k), max_size=8))
     return rows, k
 
@@ -176,33 +176,47 @@ def test_elimination_agrees_with_smith(case):
     factors = zlattice.smith_invariant_factors(rows)
     smith_spans = len(factors) == k and all(d == 1 for d in factors)
     assert zlattice.rows_span_lattice(rows, k) == smith_spans
-    pivots, _ = zlattice._eliminate(rows, k)
+    slots = zlattice.echelon(rows, k)
     full_rank = len(factors) == k and all(factors)
-    assert (pivots is not None) == full_rank
+    assert all(b is not None for b in slots) == full_rank
     if full_rank:
         # both products are the index of the row lattice in Z^k
-        assert math.prod(pivots) == math.prod(factors)
+        assert math.prod(b[t] for t, b in enumerate(slots)) == math.prod(factors)
 
 
 @settings(max_examples=300)
 @given(integer_matrices())
 def test_elimination_transform_is_unimodular_and_echelon(case):
     rows, k = case
-    pivots, u = zlattice._eliminate(rows, k, track=True)
     r = len(rows)
+    # each row carries its unit vector; the slots and the zero rows are then
+    # the rows of one transform U, and U @ rows is the echelon basis
+    kernel = []
+    slots = zlattice.echelon([row + [int(i == j) for j in range(r)] for i, row in enumerate(rows)], k, kernel)
+    basis = [b for b in slots if b is not None]
+    u = [v[k:] for v in basis + kernel]
     assert len(u) == r and zlattice.det_exact(u) in (1, -1)
-    if pivots is None:
-        return
-    echelon = [[sum(u[i][l] * rows[l][j] for l in range(r)) for j in range(k)] for i in range(r)]
-    for i, row in enumerate(echelon):
-        assert all(x == 0 for x in row[: min(i, k)])
-        if i < k:
-            assert abs(row[i]) == pivots[i]
+    for v in basis + kernel:
+        assert [sum(x * row[j] for x, row in zip(v[k:], rows)) for j in range(k)] == v[:k]
+    for t, b in enumerate(slots):
+        if b is not None:
+            assert all(x == 0 for x in b[:t]) and b[t] > 0
+    assert all(x == 0 for v in kernel for x in v[:k])
 
 
-def test_elimination_stops_at_the_first_non_unit_pivot():
-    assert zlattice._eliminate([[2, 0], [0, 1]], 2) == ([2, 1], None)
-    assert zlattice._eliminate([[2, 0], [0, 1]], 2, units_only=True) == ([2], None)
-    assert zlattice._eliminate([[1, 1], [2, 2]], 2) == (None, None)
-    with pytest.raises(ValueError):
-        zlattice._eliminate([[1, 0, 0]], 2)
+def test_elimination_stops_at_z_k():
+    def rows():
+        yield [2, 0]
+        yield [0, 1]
+        yield [1, 0]  # merges with the slot of pivot 2: the lattice is Z^2
+        raise AssertionError("read a row past Z^2")
+
+    assert zlattice.echelon(rows(), 2) == [[1, 0], [0, 1]]
+    assert zlattice.rows_span_lattice(rows(), 2)
+    # a pivot above 1 keeps the reading going to the last row
+    assert zlattice.echelon([[2, 0], [0, 1]], 2) == [[2, 0], [0, 1]]
+    assert zlattice.echelon([[1, 1], [2, 2]], 2) == [[1, 1], None]
+    # with a kernel every row is read
+    kernel = []
+    assert zlattice.echelon([[1, 0], [0, 1], [3, -4]], 2, kernel) == [[1, 0], [0, 1]]
+    assert kernel == [[0, 0]]
