@@ -100,7 +100,7 @@ def _cmd_sreal(args) -> int:
     K = formats.load_complex(args.input)
     r = s_real(K, max_k=args.max_k)
     if args.json:
-        text = formats.json_text(formats.s_real_to_dict(r))
+        text = json.dumps(formats.s_real_to_dict(r), indent=2) + "\n"
     else:
         text = formats.s_real_to_text(r)
     _write(text, args.out)
@@ -110,7 +110,7 @@ def _cmd_sreal(args) -> int:
 def _cmd_criteria(args) -> int:
     level, w = check_criteria(formats.load_complex(args.input))
     if args.json:
-        text = formats.json_text(formats.criteria_to_dict(level, w))
+        text = json.dumps(formats.criteria_to_dict(level, w), indent=2) + "\n"
     else:
         text = formats.criteria_to_text(level, w)
     _write(text, args.out)
@@ -174,7 +174,7 @@ def _cmd_verify(args) -> int:
             "ok": ok,
             "failing_simplex": None if failing is None else face_vertices(failing),
         }
-        text = formats.json_text(obj)
+        text = json.dumps(obj, indent=2) + "\n"
     else:
         if ok:
             text = "PASS\n"
@@ -189,7 +189,7 @@ def _cmd_oracle(args) -> int:
     K = formats.load_complex(args.input)
     results = [oracle_check(K, k) for k in range(1, args.max_k + 1)]
     if args.json:
-        text = formats.json_text(results)
+        text = json.dumps(results, indent=2) + "\n"
     else:
         lines = []
         for r in results:
@@ -224,7 +224,7 @@ def _cmd_lemma23(args) -> int:
             ],
             "pattern_dets": [{"k": k, "det": d} for k, d in dets],
         }
-        text = formats.json_text(obj)
+        text = json.dumps(obj, indent=2) + "\n"
     else:
         lines = []
         for n, hit in scan:

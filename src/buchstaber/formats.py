@@ -21,49 +21,6 @@ from .complexes import MAX_VERTICES, SimplicialComplex, face_mask, face_vertices
 from .invariant import CriterionWitness, InvariantReport, SRealResult, XiWitness
 
 
-_escape = json.encoder.encode_basestring_ascii
-
-
-def json_text(obj) -> str:
-    """Exactly json.dumps(obj, indent=2) + "\n", for the package's JSON
-    values: str-keyed dicts, lists and tuples, ints, bools, None and str.
-
-    json.dumps falls back to its pure-Python encoder whenever an indent is
-    set; this writer joins strings recursively instead, with the stdlib's
-    own string escaping. Anything else raises TypeError.
-    """
-    return _json_value(obj, "\n") + "\n"
-
-
-def _json_value(obj, pad: str) -> str:
-    """obj rendered with `pad` (a newline and the current indent) before
-    each closing bracket and two more spaces before each member. Types are
-    matched exactly; a key that is not a str fails in _escape."""
-    t = type(obj)
-    if t is str:
-        return _escape(obj)
-    if t is int:
-        return int.__repr__(obj)
-    if t is list or t is tuple:
-        if not obj:
-            return "[]"
-        inner = pad + "  "
-        return "[" + inner + ("," + inner).join([_json_value(v, inner) for v in obj]) + pad + "]"
-    if t is dict:
-        if not obj:
-            return "{}"
-        inner = pad + "  "
-        members = [_escape(k) + ": " + _json_value(v, inner) for k, v in obj.items()]
-        return "{" + inner + ("," + inner).join(members) + pad + "}"
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
-
-
 def parse_complex_text(text: str) -> SimplicialComplex:
     """Read the complex text format.
 
@@ -334,8 +291,121 @@ def report_to_dict(report: InvariantReport) -> dict:
     }
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+# The fixed text of json.dumps(report_to_dict(report), indent=2) + "\n":
+# every key, bracket and indent, with one slot per value.
+_REPORT_JSON = """{
+  "m": %d,
+  "dim": %d,
+  "num_min_nonsimplices": %d,
+  "is_flag": %s,
+  "ghost_vertices": %s,
+  "upper_bound": %d,
+  "criteria_level": %d,
+  "criterion_witness": %s,
+  "cover": {
+    "value": %d,
+    "cover": %s,
+    "coverable": %s,
+    "heuristic": %s
+  },
+  "graph_chromatic": %s,
+  "ayzenberg_value": %s,
+  "chromatic_bound": %s,
+  "s_real": {
+    "lower": %d,
+    "upper": %d,
+    "exact": %s,
+    "value": %s,
+    "searched": %d
+  },
+  "xi_witness": %s,
+  "matrix_witness": %s,
+  "s": {
+    "lower": %d,
+    "upper": %d,
+    "exact": %s,
+    "value": %s
+  },
+  "warnings": %s
+}
+"""
+
+
+def _joined(items: Sequence[str], pad: str, brackets: str = "[]") -> str:
+    """The written JSON `items` inside `brackets`, laid out as by
+    json.dumps(..., indent=2); `pad` is a newline and the container's own
+    indent."""
+    if not items:
+        return brackets
+    inner = pad + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
+
+
+def _vertex_list(mask: int, pad: str) -> str:
+    return _joined(list(map(str, face_vertices(mask))), pad)
+
+
+def _bool(b: bool) -> str:
+    return "true" if b else "false"
+
+
+def _int_or_null(v: Optional[int]) -> str:
+    return "null" if v is None else "%d" % v
+
+
 def report_to_json(report: InvariantReport) -> str:
-    return json_text(report_to_dict(report))
+    """json.dumps(report_to_dict(report), indent=2) + "\n", written into
+    _REPORT_JSON field by field without building the dict. Each distinct
+    non-face of the xi witness and each distinct matrix row is written once:
+    the 2^k - 1 entries name at most |N(K)| non-faces, and the m rows hold
+    at most 2^k distinct rows."""
+    cw, xi, rows, cover = report.criterion_witness, report.xi_witness, report.matrix_rows, report.cover
+    crit = "null"
+    if cw is not None:
+        sets = _joined([_vertex_list(w, "\n      ") for w in cw.sets], "\n    ")
+        crit = '{\n    "level": %d,\n    "case": %d,\n    "sets": %s\n  }' % (cw.level, cw.case, sets)
+    xi_text = mat = "null"
+    if xi is not None:
+        texts = {w: _vertex_list(w, "\n    ") for w in set(xi.assignment.values())}
+        entries = ['"%d": %s' % (a, texts[w]) for a, w in sorted(xi.assignment.items())]
+        xi_text = _joined(entries, "\n  ", "{}")
+    if rows is not None:
+        k = xi.k
+        # a row's entries are the digits of its bits 0..k-1, lowest first
+        texts = {row: _joined(format(row, "0%db" % k)[::-1][:k], "\n      ") for row in set(rows)}
+        lines = _joined([texts[row] for row in rows], "\n    ")
+        mat = '{\n    "ring": "gf2",\n    "k": %d,\n    "rows": %s\n  }' % (k, lines)
+    return _REPORT_JSON % (
+        report.m,
+        report.dim,
+        report.num_min_nonsimplices,
+        _bool(report.is_flag),
+        _joined(list(map(str, report.ghost_vertices)), "\n  "),
+        report.upper_bound,
+        report.criteria_level,
+        crit,
+        cover.value,
+        _joined([_vertex_list(w, "\n      ") for w in cover.cover], "\n    "),
+        _bool(cover.coverable),
+        _bool(cover.heuristic),
+        _int_or_null(report.graph_chromatic),
+        _int_or_null(report.ayzenberg_value),
+        _int_or_null(report.chromatic_bound),
+        report.s_real_lower,
+        report.s_real_upper,
+        _bool(report.s_real_exact),
+        _int_or_null(report.s_real_value),
+        report.s_real_searched,
+        xi_text,
+        mat,
+        report.s_lower,
+        report.s_upper,
+        _bool(report.s_exact),
+        _int_or_null(report.s_value),
+        _joined(list(map(_escape, report.warnings)), "\n  "),
+    )
 
 
 def report_to_text(report: InvariantReport) -> str:

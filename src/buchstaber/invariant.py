@@ -550,8 +550,9 @@ def xi_to_matrix(K: SimplicialComplex, w: XiWitness) -> list[int]:
     vectors a whose image contains vertex i. Always solvable for a valid
     witness (odd dependencies inside each system are excluded)."""
     rows = []
+    vectors = sorted(w.assignment)
     for i in range(K.m):
-        constraints = [a for a in sorted(w.assignment) if w.assignment[a] >> i & 1]
+        constraints = [a for a in vectors if w.assignment[a] >> i & 1]
         x = gf2.solve_all_ones(constraints, w.k)
         if x is None:
             raise ValueError("inconsistent xi witness: row system has no solution")
@@ -630,7 +631,10 @@ def _climb(K: SimplicialComplex, criteria: tuple, max_k: int, node_budget: int) 
     """The climb of s_real, given the (level, witness) pair of check_criteria(K).
 
     The rank-r witness for r <= 3 is read off the xi_slots of the matched
-    configuration's record in _CONFIGURATIONS; the subspace scan climbs on.
+    configuration's record in _CONFIGURATIONS, and its matrix off the
+    record's lifts: vertex i lies in the non-faces of the slots whose bit is
+    set in entry i of the slot incidence. The subspace scan climbs on, and
+    xi_to_matrix lifts its witness.
     """
     level, crit_w = criteria
     ub = K.m - K.dimension - 1
@@ -652,7 +656,14 @@ def _climb(K: SimplicialComplex, criteria: tuple, max_k: int, node_budget: int) 
             upper = value
             break
         best, value = _xi_from_span(K, span, k), k
-    mat = xi_to_matrix(K, best) if best else None
+    mat = None
+    if value > 3:
+        mat = xi_to_matrix(K, best)
+    elif value:
+        lifts = _CONFIGURATIONS[crit_w.level, crit_w.case].lifts[value]
+        mat = [lifts[S] for S in incidence(crit_w.sets, K.m)]
+        if None in mat:
+            raise ValueError("inconsistent xi witness: row system has no solution")
     return SRealResult(value, upper, value == upper, best, mat)
 
 
@@ -686,7 +697,13 @@ class _Configuration:
     every configuration of the case; it is the canonical-first xi mapping on
     the case's generic configuration, where only the constraints have empty
     intersections. Rank r < level takes the first 2^r - 1 entries: an odd
-    circuit of Z_2^r is one of Z_2^level. Derived per 0-based slot: `later`,
+    circuit of Z_2^r is one of Z_2^level. `lifts[r][S]`, for r <= level and
+    a bitset S of 0-based slots, is the gf2.solve_all_ones row at rank r of
+    a vertex lying in exactly the non-faces of the slots in S: its
+    constraints are the vectors a < 2^r with slot xi_slots[a - 1] in S, so
+    it is the xi_to_matrix row of that vertex (None where S holds a
+    constraint's slots, which no vertex of a configuration does). Derived
+    per 0-based slot: `later`,
     the later slots it precedes; `completes`, the constraints (last slot,
     other slots) whose other slots it completes; and `pending`, the
     constraints (filled slots, open slots) that still have two or more open
@@ -701,6 +718,11 @@ class _Configuration:
     def __init__(self, level, case, size, constraints, slot_order, xi_slots):
         self.level, self.case, self.size = level, case, size
         self.constraints, self.slot_order, self.xi_slots = constraints, slot_order, xi_slots
+        self.lifts = tuple(
+            tuple(gf2.solve_all_ones([a for a in range(1, 1 << r) if S >> xi_slots[a - 1] & 1], r)
+                  for S in range(1 << size))
+            for r in range(level + 1)
+        )
         slots = range(1, size + 1)
         self.later = [[j - 1 for i, j in slot_order if i == s] for s in slots]
         self.completes = [
@@ -1026,50 +1048,73 @@ def cover_lower_bound(K: SimplicialComplex) -> CoverBound:
 
 
 def chromatic_number(K: SimplicialComplex) -> int:
-    """Exact chromatic number of a complex of dimension <= 1.
-
-    Backtracking with vertices in descending-degree order and the usual
-    first-new-color symmetry break; ghost vertices are not colored.
-    """
+    """Exact chromatic number of a complex of dimension <= 1, its graph
+    read off the edge facets; ghost vertices are not colored."""
     if K.dimension > 1:
         raise ValueError("chromatic number is defined here only for dim <= 1")
-    verts = [v - 1 for v in K.vertices()]
-    if not verts:
-        return 0
-    index = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
-    adj = [0] * n
+    adj = [0] * K.m
     for f in K.facets:
         if f.bit_count() == 2:
-            lo = (f & -f).bit_length() - 1
-            hi = f.bit_length() - 1
-            a, b = index[lo], index[hi]
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-    order = sorted(range(n), key=lambda i: (-adj[i].bit_count(), i))
-    colors = [0] * n
+            lo, hi = (f & -f).bit_length() - 1, f.bit_length() - 1
+            adj[lo] |= 1 << hi
+            adj[hi] |= 1 << lo
+    return _color_count([v - 1 for v in K.vertices()], adj)
+
+
+def _skeleton_chromatic(K: SimplicialComplex) -> int:
+    """Chromatic number of the 1-skeleton of K, read off N(K): the face
+    vertices are those in no 1-element non-face, and two of them are
+    adjacent unless they form a 2-element minimal non-face."""
+    nonsimp = K.minimal_nonsimplices()
+    ghosts = 0
+    for w in nonsimp:
+        if w.bit_count() == 1:
+            ghosts |= w
+    face = full_mask(K.m) & ~ghosts
+    adj = [face & ~(1 << v) for v in range(K.m)]
+    for w in nonsimp:
+        if w.bit_count() == 2:
+            adj[(w & -w).bit_length() - 1] &= ~w
+            adj[w.bit_length() - 1] &= ~w
+    return _color_count([v for v in range(K.m) if face >> v & 1], adj)
+
+
+def _color_count(verts: Sequence[int], adj: Sequence[int]) -> int:
+    """Exact chromatic number of the graph on the 0-based `verts` whose
+    neighbours of v are the bitset adj[v].
+
+    Backtracking with vertices in descending-degree order and the usual
+    first-new-color symmetry break; each color class is a vertex bitset,
+    open to v iff it misses adj[v]. A clique taken greedily in the same
+    order bounds the number from below, and the search stops at the first
+    coloring with that many colors.
+    """
+    n = len(verts)
+    order = sorted(verts, key=lambda v: (-adj[v].bit_count(), v))
+    clique = 0
+    for v in order:
+        if not clique & ~adj[v]:
+            clique |= 1 << v
+    floor = clique.bit_count()
+    classes = [0] * (n + 1)
     best = n + 1
 
-    def solve(pos: int, used: int) -> None:
+    def solve(pos: int, used: int) -> bool:
         nonlocal best
         if used >= best:
-            return
+            return False
         if pos == n:
             best = used
-            return
+            return used == floor
         v = order[pos]
-        taken = 0
-        neigh = adj[v]
-        while neigh:
-            u = (neigh & -neigh).bit_length() - 1
-            neigh &= neigh - 1
-            if colors[u]:
-                taken |= 1 << colors[u]
+        bit, neigh = 1 << v, adj[v]
         for c in range(1, min(used + 1, best - 1) + 1):
-            if not taken >> c & 1:
-                colors[v] = c
-                solve(pos + 1, max(used, c))
-                colors[v] = 0
+            if not classes[c] & neigh:
+                classes[c] |= bit
+                if solve(pos + 1, max(used, c)):
+                    return True
+                classes[c] ^= bit
+        return False
 
     solve(0, 0)
     return best
@@ -1162,7 +1207,7 @@ def analyze(
     chrom_bound = None
     if polytopal:
         # at dim <= 1 the 1-skeleton is K itself, whose gamma is known
-        chrom_bound = K.m - (chromatic_number(K.one_skeleton()) if gamma is None else gamma)
+        chrom_bound = K.m - (_skeleton_chromatic(K) if gamma is None else gamma)
     s_lower = max(level, cover.value)
     if chrom_bound is not None:
         s_lower = max(s_lower, chrom_bound)

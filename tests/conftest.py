@@ -33,6 +33,7 @@ from buchstaber.generators import (
     simplex,
     skeleton,
 )
+from buchstaber.invariant import analyze
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
@@ -125,6 +126,11 @@ def nonsimplex_condition_by_enumeration(K, rows, k, primes):
 @pytest.fixture(scope="session")
 def random_corpus():
     return build_random_corpus()
+
+
+@pytest.fixture(scope="session")
+def corpus_reports(random_corpus):
+    return [analyze(K) for K in random_corpus]
 
 
 @pytest.fixture(scope="session")

@@ -280,11 +280,6 @@ def test_acceptance_7_condition_equivalence(random_corpus):
     assert ok
 
 
-@pytest.fixture(scope="session")
-def corpus_reports(random_corpus):
-    return [analyze(K) for K in random_corpus]
-
-
 def test_acceptance_8_bound_suite(census_complexes, random_corpus, named_corpus, corpus_reports):
     t0 = time.time()
     violations = []

@@ -1,5 +1,6 @@
 """File formats and the command-line front end."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -13,8 +14,16 @@ from hypothesis import strategies as st
 from buchstaber import formats
 from buchstaber.cli import main
 from buchstaber.complexes import SimplicialComplex
-from buchstaber.generators import cycle, join, points, random_complex, simplex
-from buchstaber.invariant import analyze
+from buchstaber.generators import (
+    cycle,
+    cyclic_polytope_boundary,
+    join,
+    points,
+    random_complex,
+    simplex,
+    skeleton,
+)
+from buchstaber.invariant import XiWitness, analyze
 
 
 def test_complex_text_roundtrip():
@@ -236,31 +245,38 @@ def test_report_text_and_json_agree():
     assert text.rstrip().endswith(f"s(K) = {d['s']['value']} (exact)")
 
 
-# text() draws non-ASCII and control characters; the samples pin a few
-json_strings = st.text() | st.sampled_from(
-    ["", "\x00\x1f\x7f", "\u00e9\u2028", "\U0001f600", '"\\/']
-)
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.integers(-(2**80), 2**80) | json_strings,
-    lambda inner: (
-        st.lists(inner, max_size=4)
-        | st.lists(inner, max_size=4).map(tuple)
-        | st.dictionaries(json_strings, inner, max_size=4)
-    ),
-    max_leaves=25,
-)
+def dumped(rep):
+    """The report JSON by its definition: the stdlib encoder on report_to_dict."""
+    return json.dumps(formats.report_to_dict(rep), indent=2) + "\n"
 
 
-@settings(max_examples=400)
-@given(json_values)
-def test_json_text_matches_the_stdlib_indent_encoder(obj):
-    assert formats.json_text(obj) == json.dumps(obj, indent=2) + "\n"
+def test_report_json_is_the_stdlib_dump_of_the_report_dict(corpus_reports):
+    for rep in corpus_reports:
+        assert formats.report_to_json(rep) == dumped(rep)
 
 
-def test_json_text_rejects_other_values():
-    for bad in (1.5, {1, 2}, [0.0], {"k": {3}}, {1: "int key"}):
-        with pytest.raises(TypeError):
-            formats.json_text(bad)
+def test_report_json_matches_the_stdlib_dump_on_polytopes():
+    # C^n(m) at n >= 10 spends seconds in the criteria alone, so n stops at 9
+    for m in range(5, 17):
+        for n in range(2, min(m, 10)):
+            rep = analyze(cyclic_polytope_boundary(n, m), polytopal=True, max_k=3)
+            assert formats.report_to_json(rep) == dumped(rep), (n, m)
+
+
+def test_report_json_matches_the_stdlib_dump_on_every_optional_field():
+    ghosts = analyze(SimplicialComplex.from_facets(5, [[1, 2], [2, 3], [3, 1]]), polytopal=True)
+    greedy = analyze(skeleton(9, 1), polytopal=True, max_k=2)
+    interval = analyze(skeleton(6, 2), max_k=1)
+    bare = analyze(simplex(3))
+    assert ghosts.ghost_vertices and ghosts.graph_chromatic == 3
+    assert greedy.cover.heuristic and greedy.warnings
+    assert not interval.s_real_exact and interval.warnings
+    assert bare.xi_witness is None and bare.matrix_rows is None and bare.criterion_witness is None
+    for rep in (ghosts, greedy, interval, bare):
+        assert formats.report_to_json(rep) == dumped(rep)
+    # a warning that needs escaping, and a witness of rank 0
+    odd = dataclasses.replace(bare, warnings=("\u00e9 \"q\" \\ \x01",), xi_witness=XiWitness(0, {}))
+    assert formats.report_to_json(odd) == dumped(odd)
 
 
 def test_report_interval_rendering():

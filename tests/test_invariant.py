@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from buchstaber import gf2, invariant, zlattice
@@ -1091,6 +1091,119 @@ def test_chromatic_number_against_brute_force():
                     want = c
                     break
         assert chromatic_number(K) == (want or 0)
+
+
+def chromatic_by_subsets(verts, adj):
+    """Fewest independent sets covering `verts`, by a DP over vertex subsets."""
+    full = sum(1 << v for v in verts)
+    best = {0: 0}
+    for S in range(1, full + 1):
+        if S & ~full:
+            continue
+        low = S & -S
+        rest = S ^ low
+        sub, fewest = rest, None
+        while True:  # every independent I in S holding S's lowest vertex
+            I = sub | low
+            if all(not adj[v] & I for v in verts if I >> v & 1):
+                n = best[S ^ I] + 1
+                fewest = n if fewest is None else min(fewest, n)
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+        best[S] = fewest
+    return best[full]
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(0, 8))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.integers(0, (1 << len(pairs)) - 1))
+    adj = [0] * n
+    for i, (a, b) in enumerate(pairs):
+        if edges >> i & 1:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+    verts = [v for v in range(n) if draw(st.booleans())]
+    return verts, [a & sum(1 << v for v in verts) for a in adj]
+
+
+# the crown graph on a_i = 2i, b_i = 2i + 1 (a_i ~ b_j for i != j): first-fit
+# in its degree order takes four colors, so the search must go on to two
+CROWN = [sum(1 << (2 * j + 1 - v % 2) for j in range(4) if j != v // 2) for v in range(8)]
+
+
+@settings(max_examples=300)
+@given(graphs())
+@example((list(range(8)), CROWN))
+def test_color_count_is_the_chromatic_number(graph):
+    verts, adj = graph
+    assert invariant._color_count(verts, adj) == chromatic_by_subsets(verts, adj)
+
+
+@st.composite
+def complexes_with_ghosts(draw):
+    """A complex on m <= 9 vertices with one ghost vertex and some isolated
+    vertices besides its random facets."""
+    m = draw(st.integers(1, 9))
+    ghost = 1 << draw(st.integers(0, m - 1))
+    facets = draw(st.lists(st.integers(0, (1 << m) - 1), max_size=6))
+    isolated = draw(st.lists(st.integers(0, m - 1), max_size=3))
+    return SimplicialComplex(m, [f & ~ghost for f in facets] + [1 << v & ~ghost for v in isolated])
+
+
+@settings(max_examples=300)
+@given(complexes_with_ghosts())
+def test_skeleton_chromatic_from_nonfaces_matches_the_one_skeleton(K):
+    assert K.ghost_vertices()
+    assert invariant._skeleton_chromatic(K) == chromatic_number(K.one_skeleton())
+
+
+def test_polytopal_bound_on_complete_one_skeleta():
+    # neighbourly C^n(m), n >= 4, have a complete 1-skeleton, so gamma = m
+    for n, m in [(4, 10), (5, 12), (4, 16), (6, 16)]:
+        assert analyze(cyclic_polytope_boundary(n, m), polytopal=True, max_k=3).chromatic_bound == 0
+    assert analyze(cyclic_polytope_boundary(3, 10), polytopal=True, max_k=3).chromatic_bound == 10 - 4
+
+
+def test_configuration_lifts_are_the_xi_to_matrix_rows():
+    # the one vertex of points(1) lies in exactly the images whose slot is in S
+    for conf in _CONFIGURATIONS.values():
+        assert len(conf.lifts) == conf.level + 1
+        for r, table in enumerate(conf.lifts):
+            assert len(table) == 1 << conf.size
+            for S, row in enumerate(table):
+                w = XiWitness(r, {a: S >> conf.xi_slots[a - 1] & 1 for a in range(1, 1 << r)})
+                try:
+                    want = xi_to_matrix(points(1), w)[0]
+                except ValueError:
+                    want = None
+                assert row == want, (conf.level, conf.case, r, S)
+
+
+def test_analyze_matrix_rows_are_the_xi_to_matrix_lift(random_corpus, corpus_reports, named_corpus):
+    pairs = list(zip(random_corpus, corpus_reports)) + [(K, analyze(K)) for K in named_corpus]
+    pairs += [
+        (K, analyze(K, polytopal=True, max_k=3))
+        for K in (cyclic_polytope_boundary(n, m) for m in range(6, 13) for n in range(3, 6))
+    ]
+    table_lifted = 0
+    for K, rep in pairs:
+        w = rep.xi_witness
+        if w is None:
+            assert rep.matrix_rows is None
+            continue
+        assert rep.matrix_rows == xi_to_matrix(K, w)
+        table_lifted += w.k <= 3
+    assert table_lifted > 300
+
+
+def test_table_lift_refuses_an_inconsistent_criterion_witness():
+    # vertex 1 lies in all three slots, so in an odd circuit's images
+    bogus = CriterionWitness(3, 5, (0b001, 0b001, 0b001))
+    with pytest.raises(ValueError, match="inconsistent xi witness"):
+        invariant._climb(points(3), (3, bogus), 3, 100)
 
 
 def test_smith_row_transform_annihilates_column_space():
