@@ -14,11 +14,12 @@ from typing import Iterable, Sequence
 MAX_VERTICES = 64
 
 # Largest m at which minimal_nonsimplices() takes the bit-parallel subset
-# scan and keeps its face table (2^m characters); above it N(K) comes from
-# the transversals of the facet complements. At m = 16 the scan took
-# 0.2-1.7 ms on every complex measured, where the transversals took 0.1 ms
-# (a 16-cycle) to 59 ms (the 4-skeleton of the 15-simplex), and the table
-# then serves every later face test. Each further vertex doubles the scan,
+# scan and keeps its face set (a 2^m-bit int, and a 2^m-character table
+# printed from it); above it N(K) comes from the transversals of the facet
+# complements. At m = 16 the scan took 0.2-1.7 ms on every complex
+# measured, where the transversals took 0.1 ms (a 16-cycle) to 59 ms (the
+# 4-skeleton of the 15-simplex), and the table then serves every later face
+# test, the int every subspace scan. Each further vertex doubles the scan,
 # and sparse complexes lose: C^4(20) 4.1 ms against 1.2 ms by transversals,
 # C^5(22) 22 against 2.8 ms. Code outside the package reads the name.
 SCAN_VERTEX_LIMIT = 16
@@ -166,12 +167,14 @@ class SimplicialComplex:
     """A simplicial complex given by its antichain of maximal faces.
 
     Instances are immutable after construction; the minimal non-face list
-    and, at m <= SCAN_VERTEX_LIMIT, the face table it is read from are filled
-    at most once and then shared, so objects are safe to use from concurrent
-    workers.
+    and, at m <= SCAN_VERTEX_LIMIT, the face table and face set it is read
+    from are filled at most once and then shared, so objects are safe to use
+    from concurrent workers.
     """
 
-    __slots__ = ("m", "facets", "_nonsimplices", "_faces", "_incidence", "_dim", "_auts")
+    __slots__ = (
+        "m", "facets", "_nonsimplices", "_faces", "_face_bits", "_incidence", "_dim", "_auts"
+    )
 
     def __init__(self, m: int, facets: Iterable[int]):
         if not 1 <= m <= MAX_VERTICES:
@@ -202,6 +205,8 @@ class SimplicialComplex:
         self._nonsimplices: tuple[int, ...] | None = None
         # character sigma is "1" iff sigma is a face
         self._faces: str | None = None
+        # bit sigma is set iff sigma is a face
+        self._face_bits: int | None = None
         self._incidence: tuple[int, ...] | None = None
         self._auts: tuple[tuple[int, ...], ...] | None = None
         self._dim = max(f.bit_count() for f in self.facets) - 1
@@ -258,6 +263,16 @@ class SimplicialComplex:
             self.minimal_nonsimplices()
             table = self._faces
         return 0 <= sigma < len(table) and table[sigma] == "1"
+
+    def face_bits(self) -> int:
+        """The face set as one 2^m-bit int, bit sigma set iff sigma is a
+        face: the int the face table is printed from. Only at
+        m <= SCAN_VERTEX_LIMIT, where the first call builds both through
+        minimal_nonsimplices()."""
+        if self.m > SCAN_VERTEX_LIMIT:
+            raise ValueError(f"no face set above m={SCAN_VERTEX_LIMIT}")
+        self.minimal_nonsimplices()
+        return self._face_bits
 
     def minimal_nonsimplices(self) -> tuple[int, ...]:
         """The antichain of minimal non-faces, canonically ordered; cached.
@@ -400,11 +415,11 @@ def minimal_nonsimplices_by_scan(K: SimplicialComplex) -> list[int]:
     one-element-smaller subsets are. Bit sigma of one 2^m-bit int says
     whether sigma is a face: the facets marked, closed downward by m steps
     `faces |= faces >> 2^b & LO_b` (the subset zeta transform). m more
-    steps AND in, per b, whether removing b leaves a face. The face table
-    is kept on K as a string for contains_face. Time and memory grow as
-    2^m: minimal_nonsimplices() takes this path at m <= SCAN_VERTEX_LIMIT
-    = 16, and the transversal search above it, where it is faster on the
-    sparse complexes measured.
+    steps AND in, per b, whether removing b leaves a face. The face set is
+    kept on K as that int for face_bits and as a string for contains_face.
+    Time and memory grow as 2^m: minimal_nonsimplices() takes this path at
+    m <= SCAN_VERTEX_LIMIT = 16, and the transversal search above it, where
+    it is faster on the sparse complexes measured.
     """
     size = 1 << K.m
     lows = _low_masks(K.m)
@@ -414,6 +429,7 @@ def minimal_nonsimplices_by_scan(K: SimplicialComplex) -> list[int]:
     faces = int.from_bytes(marks, "little")
     for b, low in enumerate(lows):
         faces |= faces >> (1 << b) & low
+    K._face_bits = faces
     K._faces = format(faces, f"0{size}b")[::-1]
     minimal = ((1 << size) - 1) ^ faces
     for b, low in enumerate(lows):

@@ -15,7 +15,7 @@ from math import comb
 from typing import Iterator, Optional, Sequence
 
 from . import gf2, zlattice
-from .complexes import SimplicialComplex, full_mask, incidence
+from .complexes import SCAN_VERTEX_LIMIT, SimplicialComplex, _low_masks, full_mask, incidence
 
 GF2 = "gf2"
 INT = "int"
@@ -30,7 +30,9 @@ MATRIX_SCAN_BIT_LIMIT = 16
 
 class SearchBudgetExceeded(RuntimeError):
     """A search used up its deterministic work budget for the call: the
-    subspace scan its candidate tests, or xi_search its nodes."""
+    subspace scan the vector positions it passes over (one per candidate
+    test at m > SCAN_VERTEX_LIMIT, the same count from the bit-parallel scan
+    over the face set below it), or xi_search its nodes."""
 
 
 def _check_ring(ring: str) -> None:
@@ -258,7 +260,9 @@ def xi_witness_exists(K: SimplicialComplex, k: int) -> Optional[bool]:
     Z_2^m consists (nonzero part) of vectors whose support contains a
     minimal non-face. Returns None when [m choose k]_2 exceeds
     EXISTENCE_SCAN_LIMIT; never returns a wrong answer. `s_real` runs the
-    same scan at every rank >= 4, under its budget above that limit.
+    same scan at every rank >= 4, under its budget above that limit. At
+    m <= SCAN_VERTEX_LIMIT the scan is bit-parallel over the face set;
+    above it, it tests one candidate vector at a time (_good_span).
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -277,14 +281,77 @@ def _good_span(K: SimplicialComplex, k: int, budget: Optional[list] = None) -> O
     M a, where column j of M is the j-th basis vector found.
 
     Enumeration visits each subspace once through its unique increasing
-    basis of coset minima, pruning as soon as a bad vector enters the span.
-    Without `budget` the scan is exhaustive; with it, each candidate vector
-    tested takes one unit from `budget[0]`, which callers may share across
-    scans, and SearchBudgetExceeded is raised when none is left.
+    basis of coset minima, in ascending order of the next basis vector, and
+    returns the first subspace it completes. A vector contains a minimal
+    non-face iff it is not a face.
 
-    A vector contains a minimal non-face iff it is not a face
-    (K.contains_face).
+    At m <= SCAN_VERTEX_LIMIT the scan is bit-parallel over the complex's
+    face set (K.face_bits()) and tests no vector on its own. A node carries
+    two 2^m-bit sets: `good`, the x with x ^ s a non-face for every s in the
+    span, and `allowed`, the x clear of the top bit of every basis vector,
+    which are exactly the coset minima. Its candidates are good & allowed
+    from the node's start up, taken in ascending order; each extends the
+    basis at once, with good ANDed by its own translate by the candidate and
+    allowed by the candidate's top bit. Above the limit there is no face
+    set, and _good_span_by_tests tests one candidate vector at a time in the
+    same order.
+
+    Without `budget` the scan is exhaustive. With it, every vector position
+    a node passes over takes one unit from `budget[0]`, which callers may
+    share across scans, and SearchBudgetExceeded is raised when none is
+    left. That is the count of candidate tests the one-at-a-time scan makes,
+    so both paths return the same span, leave the same budget and trip at
+    the same point.
     """
+    m = K.m
+    if m > SCAN_VERTEX_LIMIT:
+        return _good_span_by_tests(K, k, budget)
+    size = 1 << m
+    lows = _low_masks(m)
+    everything = (1 << size) - 1
+    basis: list[int] = []
+
+    def charge(units: int) -> None:
+        budget[0] -= units
+        if budget[0] < 0:
+            raise SearchBudgetExceeded(f"subspace scan at k={k} ran out of its budget")
+
+    def extend(good: int, allowed: int, start: int, depth: int) -> bool:
+        if depth == k:
+            return True
+        cand = good & allowed & -(1 << start)
+        pos = start  # the first position not yet charged
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            b = low.bit_length() - 1
+            if budget is not None:
+                charge(b - pos + 1)
+            pos = b + 1
+            basis.append(b)
+            without_top = lows[b.bit_length() - 1]
+            if extend(good & _xor_translate(good, b, lows), allowed & without_top, pos, depth + 1):
+                return True
+            basis.pop()
+        if budget is not None:
+            charge(size - pos)
+        return False
+
+    if not extend(everything ^ K.face_bits(), everything, 1, 0):
+        return None
+    span = [0]
+    for b in basis:
+        span += [b ^ s for s in span]
+    return span
+
+
+def _good_span_by_tests(
+    K: SimplicialComplex, k: int, budget: Optional[list] = None
+) -> Optional[list[int]]:
+    """_good_span by one face test per candidate vector (K.contains_face):
+    the scan above SCAN_VERTEX_LIMIT, where the complex has no face set, and
+    the tests' reference for the bit-parallel scan below it. Same order,
+    same result, same budget units: one per candidate vector tested."""
     is_face = K.contains_face
     m = K.m
     span = [0]
@@ -313,6 +380,17 @@ def _good_span(K: SimplicialComplex, k: int, budget: Optional[list] = None) -> O
     return span if extend(1, 0) else None
 
 
+def _xor_translate(bits: int, v: int, lows: Sequence[int]) -> int:
+    """The translate {x : x ^ v in bits} of a set of 2^n-bit positions, by
+    one butterfly step per set bit of v; lows is _low_masks(n)."""
+    while v:
+        j = (v & -v).bit_length() - 1
+        v &= v - 1
+        s, lo = 1 << j, lows[j]
+        bits = (bits >> s) & lo | (bits & lo) << s
+    return bits
+
+
 def _xi_from_span(K: SimplicialComplex, span: Sequence[int], k: int) -> XiWitness:
     """xi(a) = the first minimal non-face inside the support of M a.
 
@@ -324,21 +402,6 @@ def _xi_from_span(K: SimplicialComplex, span: Sequence[int], k: int) -> XiWitnes
         k,
         {a: next(w for w in nonsimp if w & ~span[a] == 0) for a in range(1, 1 << k)},
     )
-
-
-def _xor_shuffle_masks(k: int) -> list[tuple[int, int]]:
-    """Butterfly constants for remapping bit i -> bit i^v on 2^k-bit masks:
-    per coordinate b, (shift 2^b, mask of positions with bit b clear)."""
-    out = []
-    size = 1 << k
-    for b in range(k):
-        s = 1 << b
-        lo = 0
-        for i in range(size):
-            if not i >> b & 1:
-                lo |= 1 << i
-        out.append((s, lo))
-    return out
 
 
 def xi_search(
@@ -397,7 +460,7 @@ def xi_search(
     # over Z_2^k (span members / members forced to 0), so rejecting a
     # candidate is one AND against forbid[v] = {x : v forced to 0 at x},
     # and every future vector gets full one-step lookahead.
-    butterflies = _xor_shuffle_masks(k)
+    lows = _low_masks(k)
     # failure of a search state is invariant under vertex permutations that
     # preserve the non-faces. When every permutation does, memo keys are the
     # sorted per-vertex closure masks; otherwise they are the raw masks. An
@@ -438,13 +501,6 @@ def xi_search(
     failed: set[tuple[int, ...]] = set()
     trail: list[tuple] = []  # ('c', x, span, zero, add_zero) | ('a', v)
 
-    def shuffle(mask: int, v: int) -> int:
-        for b in range(k):
-            if v >> b & 1:
-                s, lo = butterflies[b]
-                mask = (mask >> s) & lo | (mask & lo) << s
-        return mask
-
     def place(v: int, om: int) -> bool:
         """Insert <v, y> = 1 at every vertex of om, then unit-propagate:
         a future vector whose domain shrank to one non-face is placed at
@@ -460,9 +516,9 @@ def xi_search(
                 continue  # already implied with value 1
             zx = zero[x]
             # new span coset s^v; forced-to-0 elements come from parity-1
-            add_zero = shuffle(sp ^ zx, v)
+            add_zero = _xor_translate(sp ^ zx, v, lows)
             trail.append(("c", x, sp, zx, add_zero))
-            span[x] = sp | shuffle(sp, v)
+            span[x] = sp | _xor_translate(sp, v, lows)
             zero[x] = zx | add_zero
             bits = add_zero
             while bits:
@@ -621,8 +677,10 @@ def s_real(
     slot its record's xi_slots give it; no search runs below rank 4. Every
     higher rank is decided by the subspace scan of xi_witness_exists, whose
     subspace gives the witness. The scan is exhaustive where [m choose k]_2
-    is at most EXISTENCE_SCAN_LIMIT; above it, node_budget bounds the
-    candidate vectors tested, summed over all ranks of the call.
+    is at most EXISTENCE_SCAN_LIMIT; above it, node_budget bounds the vector
+    positions the scan passes over, summed over all ranks of the call: one
+    per candidate test, a count the bit-parallel scan over the face set at
+    m <= SCAN_VERTEX_LIMIT keeps without testing the candidates one by one.
     """
     return _climb(K, check_criteria(K), max_k, node_budget)
 

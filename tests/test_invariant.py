@@ -700,6 +700,82 @@ def test_scan_budget_counts_candidate_tests_across_ranks():
         invariant._good_span(K, 5, [577])
 
 
+SCAN_BUDGETS = (50, 500, 5_000, 400_000)
+
+
+def scan_outcome(scan, K, k, budget):
+    left = [budget]
+    try:
+        return scan(K, k, left), left[0]
+    except SearchBudgetExceeded:
+        return "trip", None
+
+
+def assert_scans_agree(K, k, top):
+    """The bit-parallel scan against the per-candidate loop at rank k. The
+    loop runs once under budget `top`, which fixes the units U it takes or
+    shows that it needs more; at each budget b of SCAN_BUDGETS up to top,
+    and at U - 1 and U, the bit-parallel scan returns the loop's span with
+    b - U left, or trips exactly when b < U."""
+    span, left = scan_outcome(invariant._good_span_by_tests, K, k, top)
+    used = None if span == "trip" else top - left
+    budgets = [b for b in SCAN_BUDGETS if b <= top]
+    if used is not None:
+        budgets += [used - 1, used]
+        assert invariant._good_span(K, k) == span, (K, k)
+    for b in budgets:
+        want = ("trip", None) if used is None or b < used else (span, b - used)
+        assert scan_outcome(invariant._good_span, K, k, b) == want, (K, k, b)
+
+
+@pytest.mark.parametrize("n, m", [(2, 6), (3, 7), (4, 9), (7, 12), (3, 16), (4, 16), (10, 16)])
+def test_bit_parallel_scan_matches_the_loop_on_cyclic_polytopes(n, m):
+    # ranks 4..6 of C^4(9), C^7(12) and C^10(16) trip the largest budget
+    K = cyclic_polytope_boundary(n, m)
+    for k in range(1, 7):
+        assert_scans_agree(K, k, SCAN_BUDGETS[-1])
+
+
+def test_bit_parallel_scan_matches_the_loop_on_corpora(random_corpus, named_corpus):
+    # the loop takes about 1.5 us a unit, so on the 500 random complexes,
+    # whose 267 scans past 400 000 units would take 0.6 s each in it, the
+    # budgets stop at 5 000
+    for K in named_corpus:
+        for k in range(1, min(K.m, 6) + 1):
+            assert_scans_agree(K, k, SCAN_BUDGETS[-1])
+    for K in random_corpus:
+        for k in range(1, min(K.m, 6) + 1):
+            assert_scans_agree(K, k, 5_000)
+
+
+def test_scan_above_the_face_set_limit_is_the_loop():
+    # at m = 17 the complex has no face set, and the scan tests each
+    # candidate against the facets
+    K = cyclic_polytope_boundary(4, 17)
+    with pytest.raises(ValueError):
+        K.face_bits()
+    left = [5_000]
+    span = invariant._good_span(K, 5, left)
+    assert scan_outcome(invariant._good_span_by_tests, K, 5, 5_000) == (span, left[0])
+    assert len(span) == 32 and not any(K.contains_face(v) for v in span[1:])
+
+
+def test_scan_cliffs_keep_their_answers():
+    # values recorded before the scan went bit-parallel; the exhaustive
+    # refutations below took 0.3-5.4 s each then
+    rep = analyze(complete_graph(8), max_k=5)
+    assert (rep.s_real_lower, rep.s_real_upper, rep.s_lower, rep.s_upper) == (4, 4, 4, 4)
+    assert rep.s_real_exact and rep.s_exact
+    assert s_real(skeleton(7, 2)).value == 4
+    assert s_real(cyclic_polytope_boundary(4, 8)).value == 3
+    # the default budget trips above EXISTENCE_SCAN_LIMIT
+    for (n, m), interval in {
+        (4, 9): (4, 5), (5, 10): (4, 5), (6, 10): (3, 4), (7, 12): (4, 5), (10, 16): (4, 6),
+    }.items():
+        r = s_real(cyclic_polytope_boundary(n, m), max_k=5)
+        assert (r.lower, r.upper, r.exact) == (*interval, False), (n, m)
+
+
 def test_scan_tightens_the_wide_cyclic_polytopes():
     # rank 5 lies above the scan's cap and is found within the budget
     for n, m in ((4, 13), (5, 14)):
@@ -961,6 +1037,13 @@ def test_criteria_decide_xi_existence_up_to_rank_3(K):
     assert r.xi_witness.k == rank and validate_xi(K, r.xi_witness)
     int_rows = [[row >> j & 1 for j in range(rank)] for row in r.matrix_rows]
     assert verify_S(K, int_rows, rank, "int")
+
+
+@settings(max_examples=60)
+@given(antichain_complexes())
+def test_bit_parallel_scan_matches_the_loop_on_antichains(K):
+    for k in range(1, min(K.m, 6) + 1):
+        assert_scans_agree(K, k, 5_000)
 
 
 @settings(max_examples=150)
