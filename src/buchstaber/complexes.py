@@ -14,14 +14,15 @@ from typing import Iterable, Sequence
 MAX_VERTICES = 64
 
 # Largest m at which minimal_nonsimplices() takes the bit-parallel subset
-# scan and keeps its face set (a 2^m-bit int, and a 2^m-character table
-# printed from it); above it N(K) comes from the transversals of the facet
-# complements. At m = 16 the scan took 0.2-1.7 ms on every complex
-# measured, where the transversals took 0.1 ms (a 16-cycle) to 59 ms (the
-# 4-skeleton of the 15-simplex), and the table then serves every later face
-# test, the int every subspace scan. Each further vertex doubles the scan,
-# and sparse complexes lose: C^4(20) 4.1 ms against 1.2 ms by transversals,
-# C^5(22) 22 against 2.8 ms. Code outside the package reads the name.
+# scan and keeps its face set (a 2^m-bit int; the first face test prints a
+# 2^m-character table from it); above it N(K) comes from the transversals
+# of the facet complements. At m = 16 the scan took 0.2-1.7 ms on every
+# complex measured, where the transversals took 0.1 ms (a 16-cycle) to
+# 59 ms (the 4-skeleton of the 15-simplex), and the int then serves every
+# subspace scan, the table every later face test. Each further vertex
+# doubles the scan, and sparse complexes lose: C^4(20) 4.1 ms against
+# 1.2 ms by transversals, C^5(22) 22 against 2.8 ms. Code outside the
+# package reads the name.
 SCAN_VERTEX_LIMIT = 16
 
 
@@ -166,14 +167,15 @@ def minimal_transversals(sets: Iterable[int], m: int) -> list[int]:
 class SimplicialComplex:
     """A simplicial complex given by its antichain of maximal faces.
 
-    Instances are immutable after construction; the minimal non-face list
-    and, at m <= SCAN_VERTEX_LIMIT, the face table and face set it is read
-    from are filled at most once and then shared, so objects are safe to use
-    from concurrent workers.
+    Instances are immutable after construction; the minimal non-face list,
+    its incidence, the facet sides and, at m <= SCAN_VERTEX_LIMIT, the face
+    set N(K) is read from and the face table printed from it are each filled
+    on first use and then shared. A fill computes a pure function of the
+    facets, so objects are safe to use from concurrent workers.
     """
 
     __slots__ = (
-        "m", "facets", "_nonsimplices", "_faces", "_face_bits", "_incidence", "_dim", "_auts"
+        "m", "facets", "_nonsimplices", "_faces", "_face_bits", "_incidence", "_sides", "_dim", "_auts"
     )
 
     def __init__(self, m: int, facets: Iterable[int]):
@@ -208,6 +210,7 @@ class SimplicialComplex:
         # bit sigma is set iff sigma is a face
         self._face_bits: int | None = None
         self._incidence: tuple[int, ...] | None = None
+        self._sides: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...] | None = None
         self._auts: tuple[tuple[int, ...], ...] | None = None
         self._dim = max(f.bit_count() for f in self.facets) - 1
 
@@ -251,8 +254,8 @@ class SimplicialComplex:
 
     def contains_face(self, sigma: int) -> bool:
         """At m <= SCAN_VERTEX_LIMIT, read from the face table, which the
-        first call builds through minimal_nonsimplices(); above it, by a
-        scan of the facets."""
+        first call prints from face_bits(); above it, by a scan of the
+        facets."""
         table = self._faces
         if table is None:
             if self.m > SCAN_VERTEX_LIMIT:
@@ -260,15 +263,13 @@ class SimplicialComplex:
                     if sigma & ~f == 0:
                         return True
                 return False
-            self.minimal_nonsimplices()
-            table = self._faces
+            table = self._faces = format(self.face_bits(), f"0{1 << self.m}b")[::-1]
         return 0 <= sigma < len(table) and table[sigma] == "1"
 
     def face_bits(self) -> int:
         """The face set as one 2^m-bit int, bit sigma set iff sigma is a
-        face: the int the face table is printed from. Only at
-        m <= SCAN_VERTEX_LIMIT, where the first call builds both through
-        minimal_nonsimplices()."""
+        face. Only at m <= SCAN_VERTEX_LIMIT, where the first call builds it
+        through minimal_nonsimplices()."""
         if self.m > SCAN_VERTEX_LIMIT:
             raise ValueError(f"no face set above m={SCAN_VERTEX_LIMIT}")
         self.minimal_nonsimplices()
@@ -278,7 +279,7 @@ class SimplicialComplex:
         """The antichain of minimal non-faces, canonically ordered; cached.
 
         At m <= SCAN_VERTEX_LIMIT by the bit-parallel subset scan, which
-        keeps the face table for contains_face; above it by transversals.
+        keeps the face set for face_bits; above it by transversals.
         """
         if self._nonsimplices is None:
             if self.m <= SCAN_VERTEX_LIMIT:
@@ -294,6 +295,22 @@ class SimplicialComplex:
         if self._incidence is None:
             self._incidence = tuple(incidence(self.minimal_nonsimplices(), self.m))
         return self._incidence
+
+    def facet_sides(self) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
+        """Per facet sigma in K.facets order, (sigma, the vertex indices
+        outside sigma, those inside it), both ascending; cached. The
+        verifiers read each facet's rows and columns through these."""
+        if self._sides is None:
+            vertices = range(self.m)
+            self._sides = tuple(
+                (
+                    sigma,
+                    tuple(i for i in vertices if not sigma >> i & 1),
+                    tuple(i for i in vertices if sigma >> i & 1),
+                )
+                for sigma in self.facets
+            )
+        return self._sides
 
     def is_flag(self) -> bool:
         return all(w.bit_count() == 2 for w in self.minimal_nonsimplices())
@@ -416,7 +433,9 @@ def minimal_nonsimplices_by_scan(K: SimplicialComplex) -> list[int]:
     whether sigma is a face: the facets marked, closed downward by m steps
     `faces |= faces >> 2^b & LO_b` (the subset zeta transform). m more
     steps AND in, per b, whether removing b leaves a face. The face set is
-    kept on K as that int for face_bits and as a string for contains_face.
+    kept on K as that int for face_bits; contains_face prints its table
+    from it on first use, so an analysis that tests no face never pays for
+    the 2^m-character string.
     Time and memory grow as 2^m: minimal_nonsimplices() takes this path at
     m <= SCAN_VERTEX_LIMIT = 16, and the transversal search above it, where
     it is faster on the sparse complexes measured.
@@ -430,7 +449,6 @@ def minimal_nonsimplices_by_scan(K: SimplicialComplex) -> list[int]:
     for b, low in enumerate(lows):
         faces |= faces >> (1 << b) & low
     K._face_bits = faces
-    K._faces = format(faces, f"0{size}b")[::-1]
     minimal = ((1 << size) - 1) ^ faces
     for b, low in enumerate(lows):
         minimal &= faces << (1 << b) | low

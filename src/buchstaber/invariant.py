@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, combinations, product
 from math import comb
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 from . import gf2, zlattice
@@ -85,15 +86,11 @@ def verify_S_detailed(K: SimplicialComplex, rows: Sequence, k: int, ring: str):
 
 
 def _first_unspanning_facet(K: SimplicialComplex, rows: Sequence, k: int, ring: str) -> Optional[int]:
-    """The first facet whose outside rows do not span the rank-k lattice;
-    over Z they are read lazily, so the echelon stops at Z^k."""
-    m = K.m
-    for sigma in K.facets:
-        if ring == GF2:
-            good = gf2.spans_full([rows[i] for i in range(m) if not sigma >> i & 1], k)
-        else:
-            good = zlattice.rows_span_lattice((rows[i] for i in range(m) if not sigma >> i & 1), k)
-        if not good:
+    """The first facet whose outside rows, gathered through
+    K.facet_sides(), do not span the rank-k lattice."""
+    spans = gf2.spans_full if ring == GF2 else zlattice.rows_span_lattice
+    for sigma, outside, _ in K.facet_sides():
+        if not spans([rows[i] for i in outside], k):
             return sigma
     return None
 
@@ -105,10 +102,11 @@ def verify_Lambda(K: SimplicialComplex, rows: Sequence, ring: str) -> bool:
 
 
 def verify_Lambda_detailed(K: SimplicialComplex, rows: Sequence, ring: str):
-    """Checked as the rows of each column-submatrix spanning the full space;
-    over GF(2), as the facet's columns of the one transpose being
-    independent; over Z, as the facet's columns of the transpose, zipped
-    back into rows, spanning Z^|facet|.
+    """Checked as the rows of each column-submatrix spanning the full space,
+    with each facet's columns taken from K.facet_sides(); over GF(2), as
+    the facet's columns of the one transpose being independent; over Z, as
+    the dual's rows restricted to the facet's columns, read lazily, spanning
+    Z^|facet|.
 
     A zero-row matrix (k = m) is vacuously accepted; at that degenerate
     boundary only the parametric condition is meaningful.
@@ -119,20 +117,18 @@ def verify_Lambda_detailed(K: SimplicialComplex, rows: Sequence, ring: str):
     if ring == GF2:
         _check_gf2_width(rows, K.m)
         columns = incidence(rows, K.m)
-    else:
-        _check_int_width(rows, K.m)
-        columns = list(zip(*rows))
-    for sigma in K.facets:
-        r = sigma.bit_count()
-        if r == 0:
-            continue
-        cols = [columns[c] for c in range(K.m) if sigma >> c & 1]
-        if ring == GF2:
-            good = gf2.rank(cols) == r
-        else:
-            good = zlattice.rows_span_lattice(zip(*cols), r)
-        if not good:
-            return False, sigma
+        for sigma, _, inside in K.facet_sides():
+            if inside and gf2.rank([columns[c] for c in inside]) != len(inside):
+                return False, sigma
+        return True, None
+    _check_int_width(rows, K.m)
+    for sigma, _, inside in K.facet_sides():
+        if inside:
+            # itemgetter gives a bare entry, not a 1-tuple, for one column
+            get = itemgetter(*inside)
+            sub = map(get, rows) if len(inside) > 1 else zip(map(get, rows))
+            if not zlattice.rows_span_lattice(sub, len(inside)):
+                return False, sigma
     return True, None
 
 
@@ -166,7 +162,8 @@ def verify_nonsimplex_condition(K: SimplicialComplex, rows: Sequence, k: int, ri
     sigma = _first_unspanning_facet(K, rows, k, INT)
     if sigma is None:
         return True
-    slots = zlattice.echelon([rows[i] for i in range(K.m) if not sigma >> i & 1], k)
+    outside = next(out for s, out, _ in K.facet_sides() if s == sigma)
+    slots = zlattice.echelon([rows[i] for i in outside], k)
     t = next(t for t, b in enumerate(slots) if b is None or b[t] != 1)
     q = 2 if slots[t] is None else slots[t][t]
     a = [0] * k
@@ -629,12 +626,9 @@ def matrix_search(K: SimplicialComplex, k: int) -> Optional[list[int]]:
         raise ValueError(
             f"matrix scan needs m*k <= {MATRIX_SCAN_BIT_LIMIT}, got {m}*{k}"
         )
-    outs = [
-        [i for i in range(m) if not sigma >> i & 1] for sigma in K.facets
-    ]
-    if any(len(o) < k for o in outs):
+    outs = sorted((out for _, out, _ in K.facet_sides()), key=len)
+    if len(outs[0]) < k:
         return None
-    outs.sort(key=len)
     for rows in product(range(1 << k), repeat=m):
         if all(gf2.spans_full([rows[i] for i in out], k) for out in outs):
             return list(rows)

@@ -170,11 +170,12 @@ def echelon(rows: Iterable[Sequence[int]], k: int, kernel: list | None = None) -
     Slot t is None or a vector that is zero before column t and has a
     positive pivot at t. A row is reduced into the slots in column order: it
     goes into an empty slot, loses a multiple of a slot whose pivot divides
-    its entry, and otherwise meets the slot b (pivot p) in one unimodular
-    step with g = gcd(p, x) = s*p + u*x, where x is the row's entry: the
-    slot becomes s*b + u*row and the row (p/g)*row - (x/g)*b. The pivots are
-    the diagonal of the row Hermite form, so at full rank their product is
-    the index of the lattice.
+    its entry (x times the slot, with no division, at a unit pivot), and
+    otherwise meets the slot b (pivot p) in one unimodular step with
+    g = gcd(p, x) = s*p + u*x, where x is the row's entry: the slot becomes
+    s*b + u*row and the row (p/g)*row - (x/g)*b. The pivots are the
+    diagonal of the row Hermite form, so at full rank their product is the
+    index of the lattice.
 
     The rows are read lazily, and reading stops once all k pivots are 1.
     With `kernel`, every row is read and each row that reduces to zero in
@@ -194,7 +195,9 @@ def echelon(rows: Iterable[Sequence[int]], k: int, kernel: list | None = None) -
                 units += x == 1 or x == -1
                 break
             p = b[t]
-            if x % p:
+            if p == 1:
+                v = [y - x * z for y, z in zip(v, b)]
+            elif x % p:
                 g, s, u = _egcd(p, x)
                 slots[t] = [s * z + u * y for y, z in zip(v, b)]
                 p, x = p // g, x // g
@@ -214,7 +217,10 @@ def echelon(rows: Iterable[Sequence[int]], k: int, kernel: list | None = None) -
 def rows_span_lattice(rows: Iterable[Sequence[int]], k: int) -> bool:
     """True iff the rows generate the full integer lattice Z^k: every slot
     of their echelon basis holds a pivot 1."""
-    return all(b is not None and b[t] == 1 for t, b in enumerate(echelon(rows, k)))
+    for t, b in enumerate(echelon(rows, k)):
+        if b is None or b[t] != 1:
+            return False
+    return True
 
 
 def lemma_r23_scan(n: int) -> Optional[Matrix]:

@@ -242,10 +242,12 @@ def test_nonfaces_of_the_four_skeleton_of_the_15_simplex():
 @pytest.mark.parametrize("n", [15, 16])
 def test_scan_and_transversals_agree_across_the_limit(n):
     # skeleton(15, 2) has m = 16, the largest m that keeps a face table;
-    # skeleton(16, 2) has m = 17 and takes the transversals
+    # skeleton(16, 2) has m = 17 and takes the transversals; N(K) keeps only
+    # the face set, and no face test has printed the table yet
     K = skeleton(n, 2)
     ns = K.minimal_nonsimplices()
-    assert (K._faces is not None) == (K.m <= SCAN_VERTEX_LIMIT)
+    assert (K._face_bits is not None) == (K.m <= SCAN_VERTEX_LIMIT)
+    assert K._faces is None
     assert len(ns) == comb(K.m, 4)
     kept = complexes._kept_low_masks.cache_info().currsize
     assert minimal_nonsimplices_by_scan(skeleton(n, 2)) == list(ns)
@@ -265,10 +267,32 @@ def test_face_table_edge_cases():
     ]
     for K, want in cases:
         assert [face_vertices(w) for w in K.minimal_nonsimplices()] == want, K
-        assert len(K._faces) == 1 << K.m
+        assert K._face_bits is not None and K._faces is None
         assert minimal_nonsimplices_by_transversal(K) == list(K.minimal_nonsimplices())
         for sigma in (-1, *range(1 << K.m), 1 << K.m):
             assert K.contains_face(sigma) == is_face(K, sigma), (K, sigma)
+        assert len(K._faces) == 1 << K.m
+
+
+@pytest.mark.parametrize(
+    "K",
+    [
+        SimplicialComplex.from_facets(3, []),  # only the empty facet
+        SimplicialComplex.from_facets(5, [[1, 2], [2, 3]]),  # ghost vertices 4, 5
+        simplex(3),
+        cyclic_polytope_boundary(4, 7),
+        SimplicialComplex(64, [0b11 << i for i in range(7)] + [0b111 << 58, 0b11 << 62]),
+    ],
+    ids=lambda K: f"m{K.m}-f{len(K.facets)}",
+)
+def test_facet_sides_follow_the_facets_and_split_the_vertices(K):
+    sides = K.facet_sides()
+    assert [sigma for sigma, _, _ in sides] == list(K.facets)
+    for sigma, outside, inside in sides:
+        assert outside == tuple(i for i in range(K.m) if not sigma >> i & 1)
+        assert inside == tuple(i for i in range(K.m) if sigma >> i & 1)
+        assert sorted(outside + inside) == list(range(K.m))
+    assert K.facet_sides() is sides
 
 
 def test_wide_complex_takes_transversals_without_a_table(monkeypatch):

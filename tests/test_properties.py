@@ -2,9 +2,10 @@
 the two minimal non-face algorithms agree with the definition, the face
 table agrees with the facet scan, the minimal transversals match a
 brute-force oracle and satisfy Berge duality, the constructor keeps exactly
-the maximal facets, the matrix verifiers agree with each other, and the
+the maximal facets, the matrix verifiers agree with each other, the
 GF(2) verifiers that read the shared transpose agree with the per-row loops
-they replaced."""
+they replaced, and the verifiers that read the facet table find the same
+failing facet as a per-facet bit test."""
 
 import pytest
 from hypothesis import assume, given, settings
@@ -22,6 +23,7 @@ from buchstaber.generators import skeleton
 from buchstaber.invariant import (
     COVER_SEARCH_GUARD,
     SearchBudgetExceeded,
+    _first_unspanning_facet,
     analyze,
     dual_lambda,
     verify_Lambda,
@@ -315,3 +317,103 @@ def test_gf2_verifiers_match_the_per_row_loops(case):
     else:
         with pytest.raises(ValueError):
             dual_lambda(rows, K.m, k, "gf2")
+
+
+def per_facet_first_unspanning_facet(K, rows, k, ring):
+    """The first facet whose outside rows, picked by a bit test per vertex,
+    do not span the rank-k lattice."""
+    for sigma in K.facets:
+        outside = [rows[i] for i in range(K.m) if not sigma >> i & 1]
+        if not (gf2.spans_full if ring == "gf2" else zlattice.rows_span_lattice)(outside, k):
+            return sigma
+    return None
+
+
+def per_facet_verify_lambda(K, rows, ring):
+    """verify_Lambda_detailed by a bit test per vertex: over GF(2) each
+    facet's columns gathered row by row, over Z the transpose's columns on
+    the facet zipped back into rows."""
+    if not rows:
+        return True, None
+    columns = list(zip(*rows)) if ring == "int" else None
+    for sigma in K.facets:
+        cols = [c for c in range(K.m) if sigma >> c & 1]
+        if not cols:
+            continue
+        if ring == "gf2":
+            good = gf2.spans_full([sum((row >> c & 1) << j for j, c in enumerate(cols)) for row in rows], len(cols))
+        else:
+            good = zlattice.rows_span_lattice(zip(*[columns[c] for c in cols]), len(cols))
+        if not good:
+            return False, sigma
+    return True, None
+
+
+@st.composite
+def facet_table_cases(draw):
+    """A complex on m <= 7 vertices (facets may leave ghost vertices or be
+    only the empty face) with an m x k matrix, k = 0..m, so that some facets
+    have fewer outside rows than k, and an r x m dual-shaped matrix,
+    r = 0..m, over GF(2) or with integer entries in [-3, 3]."""
+    m = draw(st.integers(1, 7))
+    face = st.integers(0, (1 << m) - 1)
+    # facets of at most a drawn size, so that many complexes keep several
+    # and a check can fail past the first
+    vertex_set = st.frozensets(st.integers(0, m - 1), min_size=1, max_size=draw(st.integers(1, m)))
+    only_empty = draw(st.integers(0, 7)) == 0
+    facets = [] if only_empty else draw(st.lists(vertex_set, min_size=1, max_size=6))
+    K = SimplicialComplex(m, [sum(1 << v for v in f) for f in facets])
+    ring = draw(st.sampled_from(["gf2", "int"]))
+    k = draw(st.integers(0, m))
+    r = draw(st.integers(0, m))
+    if ring == "gf2":
+        rows = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=m, max_size=m))
+        dual = draw(st.lists(face, min_size=r, max_size=r))
+    else:
+        entry = st.integers(-3, 3)
+        rows = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=m, max_size=m))
+        dual = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=r, max_size=r))
+    return K, rows, k, dual, ring
+
+
+@settings(max_examples=400)
+@given(facet_table_cases())
+def test_facet_table_verifiers_match_the_per_facet_bit_tests(case):
+    K, rows, k, dual, ring = case
+    assert _first_unspanning_facet(K, rows, k, ring) == per_facet_first_unspanning_facet(K, rows, k, ring)
+    assert verify_Lambda_detailed(K, dual, ring) == per_facet_verify_lambda(K, dual, ring)
+
+
+@pytest.mark.parametrize("ring", ["gf2", "int"])
+def test_facet_table_verifiers_on_the_edge_cases(ring):
+    def matrix(entries):
+        if ring == "gf2":
+            return [sum((x & 1) << j for j, x in enumerate(e)) for e in entries]
+        return [list(e) for e in entries]
+
+    empty = SimplicialComplex.from_facets(3, [])  # only the empty facet
+    ghosts = SimplicialComplex.from_facets(5, [[1, 2], [2, 3]])  # ghost vertices 4, 5
+    triangle = SimplicialComplex.from_facets(3, [[1, 2, 3]])  # no row outside the facet
+    unit = matrix([(1, 0), (0, 1), (1, 1), (0, 1), (1, 0)])
+    cases = [
+        (empty, matrix([()] * 3), 0, None),
+        (empty, matrix([(1, 0), (0, 1), (0, 0)]), 2, None),
+        (ghosts, matrix([()] * 5), 0, None),
+        (ghosts, unit, 2, None),
+        (ghosts, matrix([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 0, 0)]), 3, 0b11),
+        (triangle, matrix([(1,), (1,), (1,)]), 1, 0b111),  # fewer outside rows than k
+        (triangle, matrix([()] * 3), 0, None),
+    ]
+    for K, rows, k, want in cases:
+        assert _first_unspanning_facet(K, rows, k, ring) == want, (K, rows, k)
+        assert per_facet_first_unspanning_facet(K, rows, k, ring) == want, (K, rows, k)
+    # the empty facet puts no column to the test; a ghost vertex's column is
+    # never on a facet
+    for K, dual, want in [
+        (empty, matrix([(0, 0, 0)]), (True, None)),
+        (ghosts, matrix([(1, 0, 1, 1, 1), (0, 1, 0, 1, 0)]), (True, None)),
+        (ghosts, matrix([(1, 1, 0, 0, 0), (0, 0, 1, 1, 1)]), (False, 0b11)),
+        (triangle, matrix([(1, 0, 0), (0, 1, 0)]), (False, 0b111)),
+    ]:
+        assert verify_Lambda_detailed(K, dual, ring) == want, (K, dual)
+        assert per_facet_verify_lambda(K, dual, ring) == want, (K, dual)

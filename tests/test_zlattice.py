@@ -220,3 +220,15 @@ def test_elimination_stops_at_z_k():
     kernel = []
     assert zlattice.echelon([[1, 0], [0, 1], [3, -4]], 2, kernel) == [[1, 0], [0, 1]]
     assert kernel == [[0, 0]]
+
+
+def test_unit_pivot_reduction_keeps_the_kernel_combinations():
+    # rows 2 and 3 meet the unit pivot of slot 0 and lose 3 and -2 times it;
+    # extended by the identity, the kernel row is the combination 2, 0, 1
+    rows = [[1, 2], [3, 7], [-2, -4]]
+    kernel = []
+    slots = zlattice.echelon([row + [int(i == j) for j in range(3)] for i, row in enumerate(rows)], 2, kernel)
+    assert slots == [[1, 2, 1, 0, 0], [0, 1, -3, 1, 0]]
+    assert kernel == [[0, 0, 2, 0, 1]]
+    assert zlattice.rows_span_lattice(rows, 2)
+    assert not zlattice.rows_span_lattice([[1, 2], [3, 6], [-1, 1]], 2)
