@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sreal", help="exact real invariant with witnesses")
     p.add_argument("input")
     p.add_argument("--max-k", dest="max_k", type=int, default=SREAL_DEFAULT_MAX_K)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
     _add_output_flags(p)
 
     p = sub.add_parser("criteria", help="level criteria (0..3) with witness")
@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="xi search vs matrix scan vs criteria, per rank")
     p.add_argument("input")
     p.add_argument("--max-k", dest="max_k", type=int, default=3)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
     _add_output_flags(p)
 
     p = sub.add_parser("lemma23", help="0/1 odd-determinant scans for n = 2, 3, 4")

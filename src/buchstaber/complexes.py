@@ -52,26 +52,32 @@ def full_mask(m: int) -> int:
     return (1 << m) - 1
 
 
+def _maximal_masks(masks: Iterable[int]) -> list[int]:
+    """The masks, given distinct, that no other one contains, ascending.
+
+    Only a strictly larger mask can contain another, and containment is
+    transitive, so each size is tested against the kept masks of the larger
+    sizes alone; the largest size has none to test against.
+    """
+    by_size: dict[int, list[int]] = {}
+    for w in masks:
+        by_size.setdefault(w.bit_count(), []).append(w)
+    kept: list[int] = []
+    for size in sorted(by_size, reverse=True):
+        group = by_size[size]
+        if kept:
+            larger = tuple(kept)
+            group = [w for w in group if not any(w & ~g == 0 for g in larger)]
+        kept.extend(group)
+    kept.sort()
+    return kept
+
+
 def is_antichain(masks: Iterable[int]) -> bool:
     """True when no mask in the collection contains another; a repeated mask
-    counts as containing its copy.
-
-    Only a strictly larger mask can strictly contain another, so each mask is
-    tested against the strictly smaller ones alone and equal sizes never meet.
-    """
+    counts as containing its copy."""
     ms = list(masks)
-    if len(set(ms)) != len(ms):
-        return False
-    by_size: dict[int, list[int]] = {}
-    for w in ms:
-        by_size.setdefault(w.bit_count(), []).append(w)
-    smaller: list[int] = []
-    for size in sorted(by_size):
-        group = by_size[size]
-        if any(a & ~b == 0 for b in group for a in smaller):
-            return False
-        smaller.extend(group)
-    return True
+    return len(set(ms)) == len(ms) and len(_maximal_masks(ms)) == len(ms)
 
 
 # Fewest masks at which incidence() transposes them as text; below it one
@@ -187,23 +193,7 @@ class SimplicialComplex:
         for f in raw:
             if f & ~fm:
                 raise ValueError(f"facet {face_vertices(f)} references a vertex above m={m}")
-        # Only a strictly larger facet can contain f, and containment is
-        # transitive, so each size is tested against the maximal ones above;
-        # the largest size has none to test against.
-        by_size: dict[int, list[int]] = {}
-        for f in raw:
-            by_size.setdefault(f.bit_count(), []).append(f)
-        kept: list[int] = []
-        for size in sorted(by_size, reverse=True):
-            group = by_size[size]
-            if kept:
-                larger = tuple(kept)
-                group = [f for f in group if not any(f & ~g == 0 for g in larger)]
-            kept.extend(group)
-        kept.sort()
-        if not kept:
-            kept = [0]
-        self.facets = tuple(kept)
+        self.facets = tuple(_maximal_masks(raw) or [0])
         self._nonsimplices: tuple[int, ...] | None = None
         # character sigma is "1" iff sigma is a face
         self._faces: str | None = None
@@ -432,10 +422,11 @@ def minimal_nonsimplices_by_scan(K: SimplicialComplex) -> list[int]:
     one-element-smaller subsets are. Bit sigma of one 2^m-bit int says
     whether sigma is a face: the facets marked, closed downward by m steps
     `faces |= faces >> 2^b & LO_b` (the subset zeta transform). m more
-    steps AND in, per b, whether removing b leaves a face. The face set is
-    kept on K as that int for face_bits; contains_face prints its table
-    from it on first use, so an analysis that tests no face never pays for
-    the 2^m-character string.
+    steps AND in, per b, whether removing b leaves a face. At
+    m <= SCAN_VERTEX_LIMIT the face set is kept on K as that int for
+    face_bits; contains_face prints its table from it on first use, so an
+    analysis that tests no face never pays for the 2^m-character string.
+    Above the limit nothing reads a face set, and none is kept.
     Time and memory grow as 2^m: minimal_nonsimplices() takes this path at
     m <= SCAN_VERTEX_LIMIT = 16, and the transversal search above it, where
     it is faster on the sparse complexes measured.
@@ -448,7 +439,8 @@ def minimal_nonsimplices_by_scan(K: SimplicialComplex) -> list[int]:
     faces = int.from_bytes(marks, "little")
     for b, low in enumerate(lows):
         faces |= faces >> (1 << b) & low
-    K._face_bits = faces
+    if K.m <= SCAN_VERTEX_LIMIT:
+        K._face_bits = faces
     minimal = ((1 << size) - 1) ^ faces
     for b, low in enumerate(lows):
         minimal &= faces << (1 << b) | low

@@ -172,16 +172,6 @@ def xi_witness_to_dict(w: XiWitness) -> dict:
     return {str(a): face_vertices(om) for a, om in sorted(w.assignment.items())}
 
 
-def xi_witness_from_dict(obj: dict, m: int) -> XiWitness:
-    assignment = {int(a): face_mask(verts, m) for a, verts in obj.items()}
-    if not assignment:
-        return XiWitness(0, {})
-    k = max(assignment).bit_length()
-    if sorted(assignment) != list(range(1, (1 << k))):
-        raise ValueError("xi witness must assign every nonzero vector of Z_2^k")
-    return XiWitness(k, assignment)
-
-
 def criterion_witness_to_dict(w: CriterionWitness) -> dict:
     return {"level": w.level, "case": w.case, "sets": [face_vertices(s) for s in w.sets]}
 

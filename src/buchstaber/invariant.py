@@ -81,17 +81,19 @@ def verify_S(K: SimplicialComplex, rows: Sequence, k: int, ring: str) -> bool:
 def verify_S_detailed(K: SimplicialComplex, rows: Sequence, k: int, ring: str):
     """Like verify_S but also reports the first failing maximal simplex."""
     _check_rows(K, rows, k, ring)
-    sigma = _first_unspanning_facet(K, rows, k, ring)
-    return sigma is None, sigma
+    side = _first_unspanning_facet(K, rows, k, ring)
+    return (True, None) if side is None else (False, side[0])
 
 
-def _first_unspanning_facet(K: SimplicialComplex, rows: Sequence, k: int, ring: str) -> Optional[int]:
-    """The first facet whose outside rows, gathered through
-    K.facet_sides(), do not span the rank-k lattice."""
+def _first_unspanning_facet(
+    K: SimplicialComplex, rows: Sequence, k: int, ring: str
+) -> Optional[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """The K.facet_sides() entry of the first facet whose outside rows do
+    not span the rank-k lattice, or None."""
     spans = gf2.spans_full if ring == GF2 else zlattice.rows_span_lattice
-    for sigma, outside, _ in K.facet_sides():
-        if not spans([rows[i] for i in outside], k):
-            return sigma
+    for side in K.facet_sides():
+        if not spans([rows[i] for i in side[1]], k):
+            return side
     return None
 
 
@@ -159,10 +161,10 @@ def verify_nonsimplex_condition(K: SimplicialComplex, rows: Sequence, k: int, ri
             if K.contains_face(served):
                 return False
         return True
-    sigma = _first_unspanning_facet(K, rows, k, INT)
-    if sigma is None:
+    side = _first_unspanning_facet(K, rows, k, INT)
+    if side is None:
         return True
-    outside = next(out for s, out, _ in K.facet_sides() if s == sigma)
+    sigma, outside, _ = side
     slots = zlattice.echelon([rows[i] for i in outside], k)
     t = next(t for t, b in enumerate(slots) if b is None or b[t] != 1)
     q = 2 if slots[t] is None else slots[t][t]
@@ -226,15 +228,21 @@ def validate_xi(K: SimplicialComplex, w: XiWitness) -> bool:
     circuit has all its images containing x (an odd dependency splits into
     disjoint circuits, one of them odd)."""
     nonsimp = set(K.minimal_nonsimplices())
-    vectors = range(1, 1 << w.k)
-    if sorted(w.assignment) != list(vectors):
+    if sorted(w.assignment) != list(range(1, 1 << w.k)):
         return False
     if not all(om in nonsimp for om in w.assignment.values()):
         return False
-    return all(
-        gf2.solve_all_ones([a for a in vectors if w.assignment[a] >> x & 1], w.k) is not None
+    return None not in _vertex_rows(K, w)
+
+
+def _vertex_rows(K: SimplicialComplex, w: XiWitness) -> list[Optional[int]]:
+    """Per vertex x, the gf2.solve_all_ones row of the affine system
+    {<a, y> = 1 : x in xi(a)}, or None where it has no solution."""
+    vectors = sorted(w.assignment)
+    return [
+        gf2.solve_all_ones([a for a in vectors if w.assignment[a] >> x & 1], w.k)
         for x in range(K.m)
-    )
+    ]
 
 
 def _gaussian_binomial(m: int, k: int) -> int:
@@ -602,14 +610,9 @@ def xi_to_matrix(K: SimplicialComplex, w: XiWitness) -> list[int]:
     """Build GF(2) rows from a xi witness: row i solves <a, x> = 1 over all
     vectors a whose image contains vertex i. Always solvable for a valid
     witness (odd dependencies inside each system are excluded)."""
-    rows = []
-    vectors = sorted(w.assignment)
-    for i in range(K.m):
-        constraints = [a for a in vectors if w.assignment[a] >> i & 1]
-        x = gf2.solve_all_ones(constraints, w.k)
-        if x is None:
-            raise ValueError("inconsistent xi witness: row system has no solution")
-        rows.append(x)
+    rows = _vertex_rows(K, w)
+    if None in rows:
+        raise ValueError("inconsistent xi witness: row system has no solution")
     return rows
 
 
@@ -1101,7 +1104,8 @@ def cover_lower_bound(K: SimplicialComplex) -> CoverBound:
 
 def chromatic_number(K: SimplicialComplex) -> int:
     """Exact chromatic number of a complex of dimension <= 1, its graph
-    read off the edge facets; ghost vertices are not colored."""
+    read off the edge facets; ghost vertices are not colored. For a caller
+    without N(K); analyze, which has built it, uses _skeleton_chromatic."""
     if K.dimension > 1:
         raise ValueError("chromatic number is defined here only for dim <= 1")
     adj = [0] * K.m
@@ -1251,15 +1255,15 @@ def analyze(
         )
     if cover.heuristic:
         warnings.append("cover bound is greedy (non-face count above search guard)")
-    gamma = None
-    ayz = None
-    if dim <= 1:
-        gamma = chromatic_number(K)
-        ayz = K.m - gamma.bit_length()
-    chrom_bound = None
-    if polytopal:
-        # at dim <= 1 the 1-skeleton is K itself, whose gamma is known
-        chrom_bound = K.m - (_skeleton_chromatic(K) if gamma is None else gamma)
+    gamma = ayz = chrom_bound = None
+    if dim <= 1 or polytopal:
+        # gamma of the 1-skeleton, which at dim <= 1 is K itself
+        skeleton_gamma = _skeleton_chromatic(K)
+        if dim <= 1:
+            gamma = skeleton_gamma
+            ayz = K.m - gamma.bit_length()
+        if polytopal:
+            chrom_bound = K.m - skeleton_gamma
     s_lower = max(level, cover.value)
     if chrom_bound is not None:
         s_lower = max(s_lower, chrom_bound)

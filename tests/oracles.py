@@ -1,0 +1,65 @@
+"""Reference oracles that only the tests use.
+
+`odd_circuits` enumerates the minimal odd linear dependencies of Z_2^k, the
+definition a xi witness is checked against; the package's `validate_xi`
+decides the same question by per-vertex affine systems instead.
+"""
+
+from functools import cache
+from itertools import combinations
+
+CIRCUIT_MAX_DIM = 8
+
+
+@cache
+def odd_circuits(k: int) -> tuple[tuple[int, ...], ...]:
+    """All minimal odd linear dependencies among the nonzero vectors of Z_2^k.
+
+    Each circuit is an ascending tuple of vector masks: the members sum to
+    zero, have odd cardinality >= 3, and every proper subset is linearly
+    independent. Ordered by (size, members). A circuit of size t spans a
+    (t-1)-dimensional space, so t <= k+1; enumeration picks the t-1 smallest
+    members (independent, increasing) and closes with their sum. The count
+    grows fast (4.1 M circuits at k = 6), so validate_xi solves per-vertex
+    affine systems instead; this is its reference at small k.
+    """
+    if not 1 <= k <= CIRCUIT_MAX_DIM:
+        raise ValueError(f"circuit enumeration supports 1 <= k <= {CIRCUIT_MAX_DIM}, got {k}")
+    n = (1 << k) - 1
+    out: list[tuple[int, ...]] = []
+
+    def extend(start: int, chosen: list[int], basis: list[int], t: int) -> None:
+        if len(chosen) == t - 1:
+            last = 0
+            for v in chosen:
+                last ^= v
+            if last <= chosen[-1]:
+                return
+            # minimal iff no proper subset of the prefix sums to the closure
+            for size in range(2, t - 1):
+                for sub in combinations(chosen, size):
+                    acc = 0
+                    for v in sub:
+                        acc ^= v
+                    if acc == last:
+                        return
+            out.append(tuple(chosen) + (last,))
+            return
+        for v in range(start, n + 1):
+            w = v
+            for b in basis:
+                if w & (b & -b):
+                    w ^= b
+            if w == 0:
+                continue
+            basis.append(w)
+            basis.sort(key=lambda r: r & -r)
+            chosen.append(v)
+            extend(v + 1, chosen, basis, t)
+            chosen.pop()
+            basis.remove(w)
+
+    for t in range(3, k + 2, 2):
+        extend(1, [], [], t)
+    out.sort(key=lambda c: (len(c), c))
+    return tuple(out)

@@ -1,7 +1,7 @@
 """Complex construction, minimal non-faces, the face table, and the dual
 reconstructions."""
 
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -250,10 +250,13 @@ def test_scan_and_transversals_agree_across_the_limit(n):
     assert K._faces is None
     assert len(ns) == comb(K.m, 4)
     kept = complexes._kept_low_masks.cache_info().currsize
-    assert minimal_nonsimplices_by_scan(skeleton(n, 2)) == list(ns)
+    fresh = skeleton(n, 2)
+    assert minimal_nonsimplices_by_scan(fresh) == list(ns)
     # the scan above keeps the m = 16 masks; at m = 17 the direct call
-    # builds its masks (17 of 2^17 bits) and keeps none
+    # builds its masks (17 of 2^17 bits) and keeps none, nor the face set,
+    # which no face test reads above the limit
     assert complexes._kept_low_masks.cache_info().currsize == kept
+    assert (fresh._face_bits is not None) == (fresh.m <= SCAN_VERTEX_LIMIT)
     assert minimal_nonsimplices_by_transversal(skeleton(n, 2)) == list(ns)
 
 
@@ -392,3 +395,27 @@ def test_equality_and_hash():
 def test_upper_bound_of_empty_complex():
     K = SimplicialComplex.from_facets(3, [])
     assert K.m - K.dimension - 1 == 3
+
+
+@pytest.mark.parametrize(
+    "K, count",
+    [(cycle(5), 10), (boundary_simplex(3), 24), (points(6), 256)],
+    ids=["cycle5", "boundary3", "points6"],
+)
+def test_automorphisms_map_the_facets_onto_themselves(K, count):
+    def image(f, perm):
+        return sum(1 << perm[v - 1] for v in face_vertices(f))
+
+    auts = K.automorphisms()
+    assert auts[0] == tuple(range(K.m))
+    assert len(auts) == count <= 256
+    assert len(set(auts)) == len(auts)
+    facets = set(K.facets)
+    for perm in auts:
+        assert sorted(perm) == list(range(K.m))
+        assert {image(f, perm) for f in K.facets} == facets
+    if count < 256:
+        # below the cap every facet-preserving permutation is found
+        want = {p for p in permutations(range(K.m)) if {image(f, p) for f in K.facets} == facets}
+        assert set(auts) == want
+    assert K.automorphisms() is auts

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from buchstaber import formats
 from buchstaber.cli import main
-from buchstaber.complexes import SimplicialComplex
+from buchstaber.complexes import SimplicialComplex, face_mask
 from buchstaber.generators import (
     cycle,
     cyclic_polytope_boundary,
@@ -218,16 +218,17 @@ def test_gf2_row_conversions():
 
 
 def test_xi_witness_json_roundtrip():
+    # the wire form read back by its definition: key str(a), value the
+    # vertex list of xi(a)
     from buchstaber.invariant import validate_xi, xi_search
 
     for K, k in ((cycle(4), 2), (cycle(5), 3), (points(3), 2)):
         w = xi_search(K, k)
         obj = json.loads(json.dumps(formats.xi_witness_to_dict(w)))
-        back = formats.xi_witness_from_dict(obj, K.m)
-        assert back.k == w.k and back.assignment == w.assignment
+        assert list(obj) == [str(a) for a in range(1, 1 << k)]
+        back = XiWitness(k, {int(a): face_mask(verts, K.m) for a, verts in obj.items()})
+        assert back.assignment == w.assignment
         assert validate_xi(K, back)
-    with pytest.raises(ValueError):
-        formats.xi_witness_from_dict({"1": [1], "3": [2]}, 3)
 
 
 def test_report_text_and_json_agree():
@@ -555,6 +556,14 @@ def test_cli_threads_flag_changes_nothing(tmp_path):
         eight = run_cli(tmp_path, "analyze", str(path), "--json", "--threads", "8")
         assert one == eight and one[1]
         assert main(["analyze", str(path), "--threads", "-1"]) == 1
+
+
+def test_cli_threads_help_says_it_has_no_effect(capsys):
+    for verb in ("analyze", "sreal", "oracle"):
+        with pytest.raises(SystemExit):
+            main([verb, "--help"])
+        words = " ".join(capsys.readouterr().out.split())
+        assert "--threads THREADS accepted; has no effect" in words
 
 
 def test_cli_stdout_output(capsys):

@@ -1,4 +1,5 @@
-"""GF(2) kernels: rank, the all-ones solver, and odd circuit enumeration."""
+"""GF(2) kernels: rank, the all-ones solver, and the odd circuit oracle of
+tests/oracles.py."""
 
 from itertools import combinations
 
@@ -6,6 +7,7 @@ import pytest
 
 from buchstaber import gf2
 from buchstaber.generators import Lcg
+from oracles import CIRCUIT_MAX_DIM, odd_circuits
 
 
 def test_rank_examples():
@@ -93,7 +95,7 @@ def test_kernel_basis():
 
 
 def test_odd_circuits_k2():
-    assert gf2.odd_circuits(2) == ((1, 2, 3),)
+    assert odd_circuits(2) == ((1, 2, 3),)
 
 
 def test_odd_circuits_k3_are_the_seven_triples():
@@ -106,7 +108,7 @@ def test_odd_circuits_k3_are_the_seven_triples():
         (3, 4, 7),
         (3, 5, 6),
     }
-    got = gf2.odd_circuits(3)
+    got = odd_circuits(3)
     assert len(got) == 7
     assert set(got) == want
 
@@ -124,7 +126,7 @@ def test_odd_circuits_k4_against_subset_scan():
                 acc ^= v
             if acc == 0 and all(indep(c) for c in combinations(sub, t - 1)):
                 want.add(sub)
-    got = gf2.odd_circuits(4)
+    got = odd_circuits(4)
     assert set(got) == want
     assert len(got) == 203
     assert sum(1 for c in got if len(c) == 3) == 35
@@ -134,7 +136,7 @@ def test_odd_circuits_k4_against_subset_scan():
 
 def test_odd_circuit_invariants():
     for k in (2, 3, 4, 5):
-        for c in gf2.odd_circuits(k):
+        for c in odd_circuits(k):
             acc = 0
             for v in c:
                 acc ^= v
@@ -147,6 +149,6 @@ def test_odd_circuit_invariants():
 
 def test_odd_circuits_guard():
     with pytest.raises(ValueError):
-        gf2.odd_circuits(0)
+        odd_circuits(0)
     with pytest.raises(ValueError):
-        gf2.odd_circuits(9)
+        odd_circuits(CIRCUIT_MAX_DIM + 1)

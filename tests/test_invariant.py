@@ -51,6 +51,7 @@ from buchstaber.invariant import (
     xi_to_matrix,
 )
 from conftest import nonsimplex_condition_by_enumeration
+from oracles import odd_circuits
 
 S3 = [0b001, 0b010, 0b011]  # rows (1,0),(0,1),(1,1)
 S3_INT = [[1, 0], [0, 1], [1, 1]]
@@ -190,13 +191,13 @@ def test_xi_search_four_cycle_first_witness():
 
 def valid_by_circuits(K, w):
     """Reference check of a xi witness: every odd circuit of Z_2^k, taken
-    from gf2.odd_circuits, has images with empty intersection."""
+    from the odd_circuits oracle, has images with empty intersection."""
     nonsimp = set(K.minimal_nonsimplices())
     if sorted(w.assignment) != list(range(1, 1 << w.k)):
         return False
     if not set(w.assignment.values()) <= nonsimp:
         return False
-    for circuit in gf2.odd_circuits(w.k):
+    for circuit in odd_circuits(w.k):
         inter = (1 << K.m) - 1
         for a in circuit:
             inter &= w.assignment[a]
@@ -334,7 +335,7 @@ def test_xi_matches_naive_backtracking():
             return None
         nvec = (1 << k) - 1
         complete_at = [[] for _ in range(nvec + 1)]
-        for c in gf2.odd_circuits(k):
+        for c in odd_circuits(k):
             complete_at[c[-1]].append(c[:-1])
         assign = [0] * (nvec + 1)
 
@@ -529,7 +530,7 @@ def test_criterion_xi_slots_map_every_odd_circuit_onto_a_constraint():
         assert len(slots) == (1 << level) - 1
         assert set(slots) <= set(range(conf.size))
         for r in range(1, level + 1):
-            for circuit in gf2.odd_circuits(r):
+            for circuit in odd_circuits(r):
                 used = {slots[a - 1] + 1 for a in circuit}
                 assert any(used >= set(c) for c in conf.constraints), (level, case, r, circuit)
 
@@ -1240,7 +1241,14 @@ def complexes_with_ghosts(draw):
 @given(complexes_with_ghosts())
 def test_skeleton_chromatic_from_nonfaces_matches_the_one_skeleton(K):
     assert K.ghost_vertices()
-    assert invariant._skeleton_chromatic(K) == chromatic_number(K.one_skeleton())
+    G = K.one_skeleton()
+    gamma = chromatic_number(G)
+    assert invariant._skeleton_chromatic(K) == gamma
+    # analyze takes its one gamma from the N(K) reader: the polytopal bound
+    # on K, and on the graph G also the graph formula's fields
+    assert analyze(K, polytopal=True, max_k=3).chromatic_bound == K.m - gamma
+    rep = analyze(G, polytopal=True, max_k=3)
+    assert (rep.graph_chromatic, rep.ayzenberg_value, rep.chromatic_bound) == (gamma, ayzenberg_s(G), G.m - gamma)
 
 
 def test_polytopal_bound_on_complete_one_skeleta():

@@ -30,6 +30,7 @@ from buchstaber.invariant import (
     verify_Lambda_detailed,
     verify_nonsimplex_condition,
     verify_S,
+    verify_S_detailed,
     xi_search,
 )
 from conftest import nonsimplex_condition_by_enumeration
@@ -321,11 +322,12 @@ def test_gf2_verifiers_match_the_per_row_loops(case):
 
 def per_facet_first_unspanning_facet(K, rows, k, ring):
     """The first facet whose outside rows, picked by a bit test per vertex,
-    do not span the rank-k lattice."""
+    do not span the rank-k lattice, as (sigma, outside indices, inside
+    indices)."""
     for sigma in K.facets:
-        outside = [rows[i] for i in range(K.m) if not sigma >> i & 1]
-        if not (gf2.spans_full if ring == "gf2" else zlattice.rows_span_lattice)(outside, k):
-            return sigma
+        outside = tuple(i for i in range(K.m) if not sigma >> i & 1)
+        if not (gf2.spans_full if ring == "gf2" else zlattice.rows_span_lattice)([rows[i] for i in outside], k):
+            return sigma, outside, tuple(i for i in range(K.m) if sigma >> i & 1)
     return None
 
 
@@ -380,7 +382,10 @@ def facet_table_cases(draw):
 @given(facet_table_cases())
 def test_facet_table_verifiers_match_the_per_facet_bit_tests(case):
     K, rows, k, dual, ring = case
-    assert _first_unspanning_facet(K, rows, k, ring) == per_facet_first_unspanning_facet(K, rows, k, ring)
+    got = _first_unspanning_facet(K, rows, k, ring)
+    assert got == per_facet_first_unspanning_facet(K, rows, k, ring)
+    # the helper hands back the facet table's own entry
+    assert got is None or any(got is side for side in K.facet_sides())
     assert verify_Lambda_detailed(K, dual, ring) == per_facet_verify_lambda(K, dual, ring)
 
 
@@ -405,8 +410,10 @@ def test_facet_table_verifiers_on_the_edge_cases(ring):
         (triangle, matrix([()] * 3), 0, None),
     ]
     for K, rows, k, want in cases:
-        assert _first_unspanning_facet(K, rows, k, ring) == want, (K, rows, k)
-        assert per_facet_first_unspanning_facet(K, rows, k, ring) == want, (K, rows, k)
+        got = _first_unspanning_facet(K, rows, k, ring)
+        assert (None if got is None else got[0]) == want, (K, rows, k)
+        assert got == per_facet_first_unspanning_facet(K, rows, k, ring), (K, rows, k)
+        assert verify_S_detailed(K, rows, k, ring) == (want is None, want), (K, rows, k)
     # the empty facet puts no column to the test; a ghost vertex's column is
     # never on a facet
     for K, dual, want in [
