@@ -167,6 +167,7 @@ def minimal_transversals(sets: Iterable[int], m: int) -> list[int]:
                 extend(S | bit, sub, cand, uncov & keep)
 
     extend(0, [], full_mask(m), (1 << len(family)) - 1)
+    del extend  # a recursive closure holds itself: free it without gc
     return sorted(out)
 
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
+from .complexes import _low_masks
+
 MAX_DIM = 16
 
 
@@ -40,39 +42,35 @@ def spans_full(rows: Sequence[int], k: int) -> bool:
     return rank(rows) == k
 
 
-def solve_all_ones(constraints: Iterable[int], k: int) -> Optional[int]:
-    """Least solution x of <a, x> = 1 for every constraint vector a.
-
-    Returns None when the system is inconsistent (exactly when some odd
-    subset of the constraints sums to zero). Deterministic: reduced echelon
-    form with pivots on the lowest available coordinate and free variables
-    set to 0.
-    """
+def solutions(constraints: Iterable[int], k: int) -> int:
+    """The set of every x in Z_2^k with <a, x> = 1 for each constraint a,
+    as a 2^k-bit int whose bit x says whether x is in it: the AND, over the
+    constraints, of the odd-pairing sets {x : <a, x> = 1}. Such a set is
+    the XOR of the sets {x : x_j = 1} over the set bits j of a, each the
+    complement of the kept mask _low_masks(k)[j]."""
     if not 0 <= k <= MAX_DIM:
         raise ValueError(f"dimension k={k} outside 0..{MAX_DIM}")
-    pivots: dict[int, tuple[int, int]] = {}  # pivot bit -> (row, rhs); rows fully reduced
-    for a in sorted(set(constraints)):
-        v, rhs = a, 1
-        # a reduced row holds only its pivot bit plus free bits, so one pass
-        # over the pivots clears every pivot bit from v
-        for bit, (bv, br) in pivots.items():
-            if v & bit:
-                v ^= bv
-                rhs ^= br
-        if v == 0:
-            if rhs:
-                return None
-            continue
-        low = v & -v
-        for bit, (bv, br) in list(pivots.items()):
-            if bv & low:
-                pivots[bit] = (bv ^ v, br ^ rhs)
-        pivots[low] = (v, rhs)
-    x = 0
-    for bit, (_, rhs) in pivots.items():
-        if rhs:
-            x |= bit
-    return x
+    lows = _low_masks(k)
+    sols = everything = (1 << (1 << k)) - 1
+    for a in constraints:
+        if a >> k:
+            raise ValueError(f"constraint {a} outside Z_2^{k}")
+        odd = everything if a.bit_count() & 1 else 0
+        while a:
+            low = a & -a
+            a ^= low
+            odd ^= lows[low.bit_length() - 1]
+        sols &= odd
+    return sols
+
+
+def solve_all_ones(constraints: Iterable[int], k: int) -> Optional[int]:
+    """Least solution x of <a, x> = 1 for every constraint vector a: the
+    lowest bit of solutions(constraints, k). Returns None when the system
+    is inconsistent (exactly when some odd subset of the constraints sums
+    to zero)."""
+    sols = solutions(constraints, k)
+    return (sols & -sols).bit_length() - 1 if sols else None
 
 
 def kernel_basis(rows: Iterable[int], n: int) -> list[int]:

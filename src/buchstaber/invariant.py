@@ -227,22 +227,31 @@ def validate_xi(K: SimplicialComplex, w: XiWitness) -> bool:
     iff no odd subset of its vectors sums to zero, that is iff no odd
     circuit has all its images containing x (an odd dependency splits into
     disjoint circuits, one of them odd)."""
-    nonsimp = set(K.minimal_nonsimplices())
     if sorted(w.assignment) != list(range(1, 1 << w.k)):
         return False
-    if not all(om in nonsimp for om in w.assignment.values()):
+    if not set(K.minimal_nonsimplices()).issuperset(w.assignment.values()):
         return False
     return None not in _vertex_rows(K, w)
 
 
 def _vertex_rows(K: SimplicialComplex, w: XiWitness) -> list[Optional[int]]:
-    """Per vertex x, the gf2.solve_all_ones row of the affine system
-    {<a, y> = 1 : x in xi(a)}, or None where it has no solution."""
-    vectors = sorted(w.assignment)
-    return [
-        gf2.solve_all_ones([a for a in vectors if w.assignment[a] >> x & 1], w.k)
-        for x in range(K.m)
-    ]
+    """Per vertex x, the least solution y of {<a, y> = 1 : x in xi(a)}, or
+    None where there is none: the lowest bit of the AND of gf2.solutions
+    over the images holding x. Raises ValueError as xi_to_matrix does."""
+    sols = [gf2.solutions((), w.k)] * K.m
+    by_image: dict[int, list[int]] = {}
+    for a, om in w.assignment.items():
+        if not 0 < a < 1 << w.k:
+            raise ValueError(f"vector {a} outside 1..{(1 << w.k) - 1}")
+        by_image.setdefault(om, []).append(a)
+    vertices = full_mask(K.m)
+    for om, vectors in by_image.items():
+        common = gf2.solutions(vectors, w.k)
+        om &= vertices
+        while om:
+            sols[(om & -om).bit_length() - 1] &= common
+            om &= om - 1
+    return [(s & -s).bit_length() - 1 if s else None for s in sols]
 
 
 def _gaussian_binomial(m: int, k: int) -> int:
@@ -342,8 +351,11 @@ def _good_span(K: SimplicialComplex, k: int, budget: Optional[list] = None) -> O
             charge(size - pos)
         return False
 
-    if not extend(everything ^ K.face_bits(), everything, 1, 0):
-        return None
+    try:
+        if not extend(everything ^ K.face_bits(), everything, 1, 0):
+            return None
+    finally:
+        del extend  # a recursive closure holds itself: free it without gc
     span = [0]
     for b in basis:
         span += [b ^ s for s in span]
@@ -382,7 +394,10 @@ def _good_span_by_tests(
                 del span[len(span) - len(coset):]
         return False
 
-    return span if extend(1, 0) else None
+    try:
+        return span if extend(1, 0) else None
+    finally:
+        del extend  # a recursive closure holds itself: free it without gc
 
 
 def _xor_translate(bits: int, v: int, lows: Sequence[int]) -> int:
@@ -595,6 +610,7 @@ def xi_search(
         return False
 
     found = dfs(1)
+    del place, dfs  # recursive closures hold themselves: free them without gc
     if stats is not None:
         stats["nodes"] = stats.get("nodes", 0) + nodes
     if found is None:
@@ -607,9 +623,11 @@ def xi_search(
 
 
 def xi_to_matrix(K: SimplicialComplex, w: XiWitness) -> list[int]:
-    """Build GF(2) rows from a xi witness: row i solves <a, x> = 1 over all
-    vectors a whose image contains vertex i. Always solvable for a valid
-    witness (odd dependencies inside each system are excluded)."""
+    """Build GF(2) rows from a xi witness: row i is the least solution of
+    <a, x> = 1 over the vectors a whose image holds vertex i, 0 for a vertex
+    in no image. Raises ValueError when a system has no solution, which a
+    valid witness rules out, for a vector outside 1..2^k - 1, and for k
+    outside 0..gf2.MAX_DIM."""
     rows = _vertex_rows(K, w)
     if None in rows:
         raise ValueError("inconsistent xi witness: row system has no solution")
@@ -670,14 +688,12 @@ def s_real(
     The criteria of check_criteria alone decide ranks 1..3: a xi mapping of
     rank r <= 3 exists iff the level is at least r, so a level below 3
     bounds the value whatever max_k is. The witness at r = min(level, max_k)
-    maps each vector of Z_2^r to the matched configuration's non-face in the
-    slot its record's xi_slots give it; no search runs below rank 4. Every
-    higher rank is decided by the subspace scan of xi_witness_exists, whose
-    subspace gives the witness. The scan is exhaustive where [m choose k]_2
-    is at most EXISTENCE_SCAN_LIMIT; above it, node_budget bounds the vector
-    positions the scan passes over, summed over all ranks of the call: one
-    per candidate test, a count the bit-parallel scan over the face set at
-    m <= SCAN_VERTEX_LIMIT keeps without testing the candidates one by one.
+    is read off the matched configuration's record, without a search. The
+    subspace scan of xi_witness_exists decides every higher rank, and its
+    subspace gives the witness. xi_to_matrix lifts the witness of every
+    rank. The scan is exhaustive where [m choose k]_2 is at most
+    EXISTENCE_SCAN_LIMIT; above it, node_budget bounds the vector positions
+    the scan passes over (_good_span), summed over all ranks of the call.
     """
     return _climb(K, check_criteria(K), max_k, node_budget)
 
@@ -686,10 +702,8 @@ def _climb(K: SimplicialComplex, criteria: tuple, max_k: int, node_budget: int) 
     """The climb of s_real, given the (level, witness) pair of check_criteria(K).
 
     The rank-r witness for r <= 3 is read off the xi_slots of the matched
-    configuration's record in _CONFIGURATIONS, and its matrix off the
-    record's lifts: vertex i lies in the non-faces of the slots whose bit is
-    set in entry i of the slot incidence. The subspace scan climbs on, and
-    xi_to_matrix lifts its witness.
+    configuration's record in _CONFIGURATIONS, and the subspace scan climbs
+    on. xi_to_matrix lifts the witness of whichever rank the climb ends at.
     """
     level, crit_w = criteria
     ub = K.m - K.dimension - 1
@@ -711,14 +725,7 @@ def _climb(K: SimplicialComplex, criteria: tuple, max_k: int, node_budget: int) 
             upper = value
             break
         best, value = _xi_from_span(K, span, k), k
-    mat = None
-    if value > 3:
-        mat = xi_to_matrix(K, best)
-    elif value:
-        lifts = _CONFIGURATIONS[crit_w.level, crit_w.case].lifts[value]
-        mat = [lifts[S] for S in incidence(crit_w.sets, K.m)]
-        if None in mat:
-            raise ValueError("inconsistent xi witness: row system has no solution")
+    mat = xi_to_matrix(K, best) if value else None
     return SRealResult(value, upper, value == upper, best, mat)
 
 
@@ -752,17 +759,11 @@ class _Configuration:
     every configuration of the case; it is the canonical-first xi mapping on
     the case's generic configuration, where only the constraints have empty
     intersections. Rank r < level takes the first 2^r - 1 entries: an odd
-    circuit of Z_2^r is one of Z_2^level. `lifts[r][S]`, for r <= level and
-    a bitset S of 0-based slots, is the gf2.solve_all_ones row at rank r of
-    a vertex lying in exactly the non-faces of the slots in S: its
-    constraints are the vectors a < 2^r with slot xi_slots[a - 1] in S, so
-    it is the xi_to_matrix row of that vertex (None where S holds a
-    constraint's slots, which no vertex of a configuration does). Derived
-    per 0-based slot: `later`,
-    the later slots it precedes; `completes`, the constraints (last slot,
-    other slots) whose other slots it completes; and `pending`, the
-    constraints (filled slots, open slots) that still have two or more open
-    slots once it is filled. Derived per case: `disjoint`, the most slots
+    circuit of Z_2^r is one of Z_2^level. Derived per 0-based slot:
+    `later`, the later slots it precedes; `completes`, the constraints
+    (last slot, other slots) whose other slots it completes; and `pending`,
+    the constraints (filled slots, open slots) that still have two or more
+    open slots once it is filled. Derived per case: `disjoint`, the most slots
     joined pairwise by 2-slot constraints, whose non-faces are pairwise
     disjoint in every configuration of the case; `closing`, per constraint
     the penultimate slot completes (each ends at the last slot), its slots
@@ -773,11 +774,6 @@ class _Configuration:
     def __init__(self, level, case, size, constraints, slot_order, xi_slots):
         self.level, self.case, self.size = level, case, size
         self.constraints, self.slot_order, self.xi_slots = constraints, slot_order, xi_slots
-        self.lifts = tuple(
-            tuple(gf2.solve_all_ones([a for a in range(1, 1 << r) if S >> xi_slots[a - 1] & 1], r)
-                  for S in range(1 << size))
-            for r in range(level + 1)
-        )
         slots = range(1, size + 1)
         self.later = [[j - 1 for i, j in slot_order if i == s] for s in slots]
         self.completes = [
@@ -957,7 +953,9 @@ def _first_configurations(
                         return True
             return False
 
-        if place(0, 0, [everything] * size):
+        found = place(0, 0, [everything] * size)
+        del place  # a recursive closure holds itself: free it without gc
+        if found:
             yield CriterionWitness(conf.level, conf.case, tuple(chosen))
             matched = conf.level
 
@@ -1099,6 +1097,7 @@ def cover_lower_bound(K: SimplicialComplex) -> CoverBound:
             chosen.pop()
 
     dfs(0, 0, [])
+    del dfs  # a recursive closure holds itself: free it without gc
     return CoverBound(m - best_cost, tuple(sorted(nonsimp[i] for i in best_sel)), True, False)
 
 
@@ -1173,6 +1172,7 @@ def _color_count(verts: Sequence[int], adj: Sequence[int]) -> int:
         return False
 
     solve(0, 0)
+    del solve  # a recursive closure holds itself: free it without gc
     return best
 
 

@@ -3,6 +3,8 @@
 `odd_circuits` enumerates the minimal odd linear dependencies of Z_2^k, the
 definition a xi witness is checked against; the package's `validate_xi`
 decides the same question by per-vertex affine systems instead.
+`least_solution_rows` solves those systems by scanning every candidate row,
+the reference for `xi_to_matrix`.
 """
 
 from functools import cache
@@ -63,3 +65,17 @@ def odd_circuits(k: int) -> tuple[tuple[int, ...], ...]:
         extend(1, [], [], t)
     out.sort(key=lambda c: (len(c), c))
     return tuple(out)
+
+
+def least_solution_rows(m: int, k: int, assignment: dict[int, int]) -> list:
+    """Per vertex x < m, the least y < 2^k with <a, y> = 1 for every vector
+    a whose image assignment[a] holds x, or None when there is none; found
+    by trying every y in ascending order."""
+    rows = []
+    for x in range(m):
+        vectors = [a for a, image in assignment.items() if image >> x & 1]
+        rows.append(next(
+            (y for y in range(1 << k) if all((a & y).bit_count() & 1 for a in vectors)),
+            None,
+        ))
+    return rows

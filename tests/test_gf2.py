@@ -1,5 +1,5 @@
-"""GF(2) kernels: rank, the all-ones solver, and the odd circuit oracle of
-tests/oracles.py."""
+"""GF(2) kernels: rank, the all-ones solution sets and their least member,
+and the odd circuit oracle of tests/oracles.py."""
 
 from itertools import combinations
 
@@ -45,6 +45,28 @@ def test_solve_all_ones_dimension_guard():
         gf2.solve_all_ones([1], 17)
 
 
+def test_solutions_is_the_exhaustive_solution_set():
+    rng = Lcg(13)
+    for _ in range(600):
+        k = rng.below(9)
+        # a zero constraint <0, x> = 1 has no solution
+        cons = [rng.below(1 << k) for _ in range(rng.below(7))]
+        want = 0
+        for x in range(1 << k):
+            if all((a & x).bit_count() % 2 == 1 for a in cons):
+                want |= 1 << x
+        assert gf2.solutions(cons, k) == want, (cons, k)
+
+
+def test_solutions_refuses_constraints_outside_the_space():
+    for a in (4, 7, -1):
+        with pytest.raises(ValueError, match="outside"):
+            gf2.solutions([1, a], 2)
+    for k in (-1, gf2.MAX_DIM + 1):
+        with pytest.raises(ValueError, match="dimension"):
+            gf2.solutions([], k)
+
+
 def test_solve_all_ones_against_exhaustive_scan():
     rng = Lcg(11)
     for _ in range(600):
@@ -57,8 +79,6 @@ def test_solve_all_ones_against_exhaustive_scan():
             if all((a & x).bit_count() % 2 == 1 for a in cons)
         ]
         if sols:
-            # lowest-coordinate pivots with zeroed free variables is also the
-            # numerically least solution
             assert got == min(sols)
         else:
             assert got is None

@@ -4,8 +4,9 @@ table agrees with the facet scan, the minimal transversals match a
 brute-force oracle and satisfy Berge duality, the constructor keeps exactly
 the maximal facets, the matrix verifiers agree with each other, the
 GF(2) verifiers that read the shared transpose agree with the per-row loops
-they replaced, and the verifiers that read the facet table find the same
-failing facet as a per-facet bit test."""
+they replaced, the verifiers that read the facet table find the same
+failing facet as a per-facet bit test, and the xi lift agrees with an
+exhaustive scan for the least solution row."""
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,6 +24,7 @@ from buchstaber.generators import skeleton
 from buchstaber.invariant import (
     COVER_SEARCH_GUARD,
     SearchBudgetExceeded,
+    XiWitness,
     _first_unspanning_facet,
     analyze,
     dual_lambda,
@@ -31,9 +33,12 @@ from buchstaber.invariant import (
     verify_nonsimplex_condition,
     verify_S,
     verify_S_detailed,
+    validate_xi,
     xi_search,
+    xi_to_matrix,
 )
 from conftest import nonsimplex_condition_by_enumeration
+from oracles import least_solution_rows
 
 
 def test_hypothesis_profile_is_deterministic():
@@ -424,3 +429,53 @@ def test_facet_table_verifiers_on_the_edge_cases(ring):
     ]:
         assert verify_Lambda_detailed(K, dual, ring) == want, (K, dual)
         assert per_facet_verify_lambda(K, dual, ring) == want, (K, dual)
+
+
+@st.composite
+def xi_witnesses(draw):
+    """A complex on m vertices with facets of at most one, two or three
+    vertices, the last vertex a ghost, and a witness at k = 0..6. Its
+    images are drawn from N(K); or read off the supports of a random matrix
+    with a zero row (a vertex in no image), as a non-face inside the
+    support or else the support itself, which always lifts; or taken as any
+    vertex set, bits at or above m included. A vector may be left out."""
+    m = draw(st.integers(2, 7))
+    size = draw(st.integers(1, 3))
+    facets = draw(st.lists(st.sets(st.integers(0, m - 2), min_size=1, max_size=size),
+                           min_size=1, max_size=6))
+    K = SimplicialComplex(m, [sum(1 << x for x in f) for f in facets])
+    nonsimp = K.minimal_nonsimplices()
+    k = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["nonfaces", "supports", "any"]))
+    if kind == "supports":
+        rows = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=m, max_size=m))
+        rows[draw(st.integers(0, m - 1))] = 0
+    images = {}
+    for a in range(1, 1 << k):
+        if kind == "any":
+            images[a] = draw(st.integers(0, (1 << m + 2) - 1))
+            continue
+        if kind == "supports":
+            support = sum(1 << x for x, r in enumerate(rows) if (r & a).bit_count() & 1)
+            inside = [w for w in nonsimp if w & ~support == 0]
+            images[a] = draw(st.sampled_from(inside)) if inside else support
+            continue
+        images[a] = draw(st.sampled_from(nonsimp))
+    if images and draw(st.booleans()):
+        del images[draw(st.sampled_from(sorted(images)))]
+    return K, XiWitness(k, images)
+
+
+@settings(max_examples=400)
+@given(xi_witnesses())
+def test_xi_lift_is_the_least_solution_row(case):
+    K, w = case
+    want = least_solution_rows(K.m, w.k, w.assignment)
+    if None in want:
+        with pytest.raises(ValueError, match="inconsistent"):
+            xi_to_matrix(K, w)
+    else:
+        assert xi_to_matrix(K, w) == want
+    well_formed = sorted(w.assignment) == list(range(1, 1 << w.k))
+    nonfaces = set(K.minimal_nonsimplices()).issuperset(w.assignment.values())
+    assert validate_xi(K, w) == (well_formed and nonfaces and None not in want)
