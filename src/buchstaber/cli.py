@@ -12,6 +12,7 @@ import sys
 
 from . import formats, generators
 from .complexes import face_vertices
+from .gf2 import MAX_DIM
 from .invariant import (
     SREAL_DEFAULT_MAX_K,
     SearchBudgetExceeded,
@@ -38,6 +39,12 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("-o", dest="out", metavar="PATH", help="write output to PATH")
 
 
+MAX_K_HELP = (
+    f"highest rank the s_R climb tries (>= 0, default {SREAL_DEFAULT_MAX_K}, never above "
+    f"{MAX_DIM}); a climb the cap stops is reported as an interval"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="buchstaber",
@@ -48,13 +55,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full invariant report for a complex file")
     p.add_argument("input")
     p.add_argument("--polytopal", action="store_true", help="enable the chromatic bound")
-    p.add_argument("--max-k", dest="max_k", type=int, default=SREAL_DEFAULT_MAX_K)
+    p.add_argument("--max-k", dest="max_k", type=int, default=SREAL_DEFAULT_MAX_K, help=MAX_K_HELP)
     p.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
     _add_output_flags(p)
 
     p = sub.add_parser("sreal", help="exact real invariant with witnesses")
     p.add_argument("input")
-    p.add_argument("--max-k", dest="max_k", type=int, default=SREAL_DEFAULT_MAX_K)
+    p.add_argument("--max-k", dest="max_k", type=int, default=SREAL_DEFAULT_MAX_K, help=MAX_K_HELP)
     p.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
     _add_output_flags(p)
 
@@ -77,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="xi search vs matrix scan vs criteria, per rank")
     p.add_argument("input")
-    p.add_argument("--max-k", dest="max_k", type=int, default=3)
+    p.add_argument("--max-k", dest="max_k", type=int, default=3, help="highest rank compared (>= 0)")
     p.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
     _add_output_flags(p)
 
@@ -258,6 +265,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "threads", 0) < 0:
             raise ValueError("thread count must be >= 0")
+        if getattr(args, "max_k", 0) < 0:
+            raise ValueError(f"--max-k must be >= 0, got {args.max_k}")
         return _DISPATCH[args.verb](args)
     except SearchBudgetExceeded as exc:
         print(f"resource guard: {exc}", file=sys.stderr)

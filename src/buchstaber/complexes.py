@@ -13,16 +13,15 @@ from typing import Iterable, Sequence
 
 MAX_VERTICES = 64
 
-# Largest m at which minimal_nonsimplices() takes the bit-parallel subset
-# scan and keeps its face set (a 2^m-bit int; the first face test prints a
-# 2^m-character table from it); above it N(K) comes from the transversals
-# of the facet complements. At m = 16 the scan took 0.2-1.7 ms on every
-# complex measured, where the transversals took 0.1 ms (a 16-cycle) to
-# 59 ms (the 4-skeleton of the 15-simplex), and the int then serves every
-# subspace scan, the table every later face test. Each further vertex
-# doubles the scan, and sparse complexes lose: C^4(20) 4.1 ms against
-# 1.2 ms by transversals, C^5(22) 22 against 2.8 ms. Code outside the
-# package reads the name.
+# Largest m at which face_bits() builds and keeps the face set, a 2^m-bit
+# int that N(K), every face test and the subspace scan read; above it N(K)
+# comes from the transversals of the facet complements and a face test from
+# the facet incidence. At m = 16 building the set and reading N(K) off it
+# took 0.2-1.7 ms on every complex measured, where the transversals took
+# 0.1 ms (a 16-cycle) to 59 ms (the 4-skeleton of the 15-simplex). Each
+# further vertex doubles the set, and sparse complexes lose: C^4(20) 4.1 ms
+# against 1.2 ms by transversals, C^5(22) 22 against 2.8 ms. Code outside
+# the package reads the name.
 SCAN_VERTEX_LIMIT = 16
 
 
@@ -174,15 +173,16 @@ def minimal_transversals(sets: Iterable[int], m: int) -> list[int]:
 class SimplicialComplex:
     """A simplicial complex given by its antichain of maximal faces.
 
-    Instances are immutable after construction; the minimal non-face list,
-    its incidence, the facet sides and, at m <= SCAN_VERTEX_LIMIT, the face
-    set N(K) is read from and the face table printed from it are each filled
-    on first use and then shared. A fill computes a pure function of the
+    Instances are immutable after construction; the face set (at
+    m <= SCAN_VERTEX_LIMIT), the minimal non-face list, the incidences of
+    the non-faces and of the facets, and the facet sides are each filled on
+    first use and then shared. A fill computes a pure function of the
     facets, so objects are safe to use from concurrent workers.
     """
 
     __slots__ = (
-        "m", "facets", "_nonsimplices", "_faces", "_face_bits", "_incidence", "_sides", "_dim", "_auts"
+        "m", "facets", "_nonsimplices", "_face_bits", "_incidence", "_facet_incidence", "_sides", "_dim",
+        "_auts",
     )
 
     def __init__(self, m: int, facets: Iterable[int]):
@@ -196,11 +196,10 @@ class SimplicialComplex:
                 raise ValueError(f"facet {face_vertices(f)} references a vertex above m={m}")
         self.facets = tuple(_maximal_masks(raw) or [0])
         self._nonsimplices: tuple[int, ...] | None = None
-        # character sigma is "1" iff sigma is a face
-        self._faces: str | None = None
         # bit sigma is set iff sigma is a face
         self._face_bits: int | None = None
         self._incidence: tuple[int, ...] | None = None
+        self._facet_incidence: tuple[int, ...] | None = None
         self._sides: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...] | None = None
         self._auts: tuple[tuple[int, ...], ...] | None = None
         self._dim = max(f.bit_count() for f in self.facets) - 1
@@ -244,40 +243,41 @@ class SimplicialComplex:
         return self._dim
 
     def contains_face(self, sigma: int) -> bool:
-        """At m <= SCAN_VERTEX_LIMIT, read from the face table, which the
-        first call prints from face_bits(); above it, by a scan of the
-        facets."""
-        table = self._faces
-        if table is None:
-            if self.m > SCAN_VERTEX_LIMIT:
-                for f in self.facets:
-                    if sigma & ~f == 0:
-                        return True
-                return False
-            table = self._faces = format(self.face_bits(), f"0{1 << self.m}b")[::-1]
-        return 0 <= sigma < len(table) and table[sigma] == "1"
+        """Whether sigma lies in some facet: bit sigma of face_bits(), or
+        without a face set, whether the facet_incidence() columns of sigma's
+        vertices share a facet. A sigma outside 0..2^m - 1 is not a face."""
+        faces = self.face_bits()
+        if faces is not None:
+            return sigma >= 0 and faces >> sigma & 1 == 1
+        if sigma < 0 or sigma >> self.m:
+            return False
+        columns = self.facet_incidence()
+        common = -1
+        while sigma and common:
+            common &= columns[(sigma & -sigma).bit_length() - 1]
+            sigma &= sigma - 1
+        return common != 0
 
-    def face_bits(self) -> int:
+    def face_bits(self) -> int | None:
         """The face set as one 2^m-bit int, bit sigma set iff sigma is a
-        face. Only at m <= SCAN_VERTEX_LIMIT, where the first call builds it
-        through minimal_nonsimplices()."""
-        if self.m > SCAN_VERTEX_LIMIT:
-            raise ValueError(f"no face set above m={SCAN_VERTEX_LIMIT}")
-        self.minimal_nonsimplices()
+        face, built by the subset zeta transform on first call and cached;
+        None above SCAN_VERTEX_LIMIT, where no face set is kept."""
+        if self._face_bits is None and self.m <= SCAN_VERTEX_LIMIT:
+            self._face_bits = _face_set(self.facets, _low_masks(self.m))
         return self._face_bits
 
     def minimal_nonsimplices(self) -> tuple[int, ...]:
         """The antichain of minimal non-faces, canonically ordered; cached.
 
-        At m <= SCAN_VERTEX_LIMIT by the bit-parallel subset scan, which
-        keeps the face set for face_bits; above it by transversals.
+        Read off face_bits() where there is a face set, otherwise by the
+        transversals of the facet complements.
         """
         if self._nonsimplices is None:
-            if self.m <= SCAN_VERTEX_LIMIT:
-                found = minimal_nonsimplices_by_scan(self)
+            faces = self.face_bits()
+            if faces is None:
+                self._nonsimplices = tuple(minimal_nonsimplices_by_transversal(self))
             else:
-                found = minimal_nonsimplices_by_transversal(self)
-            self._nonsimplices = tuple(found)
+                self._nonsimplices = tuple(_minimal_nonfaces(faces, _low_masks(self.m)))
         return self._nonsimplices
 
     def nonface_incidence(self) -> tuple[int, ...]:
@@ -286,6 +286,13 @@ class SimplicialComplex:
         if self._incidence is None:
             self._incidence = tuple(incidence(self.minimal_nonsimplices(), self.m))
         return self._incidence
+
+    def facet_incidence(self) -> tuple[int, ...]:
+        """Per vertex bit v < m, the bitset over indices into facets of the
+        facets that contain v; cached."""
+        if self._facet_incidence is None:
+            self._facet_incidence = tuple(incidence(self.facets, self.m))
+        return self._facet_incidence
 
     def facet_sides(self) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
         """Per facet sigma in K.facets order, (sigma, the vertex indices
@@ -411,37 +418,29 @@ _kept_low_masks = cache(_build_low_masks)
 
 def _low_masks(m: int) -> tuple[int, ...]:
     """_build_low_masks(m), kept for the life of the process only at
-    m <= SCAN_VERTEX_LIMIT, the sizes minimal_nonsimplices() scans: a direct
-    scan above it builds its masks (m of 2^m bits) and drops them."""
+    m <= SCAN_VERTEX_LIMIT, the sizes face_bits() builds: a direct scan
+    above it builds its masks (m of 2^m bits) and drops them."""
     return _kept_low_masks(m) if m <= SCAN_VERTEX_LIMIT else _build_low_masks(m)
 
 
-def minimal_nonsimplices_by_scan(K: SimplicialComplex) -> list[int]:
-    """Subset scan for minimal non-faces, bit-parallel over all 2^m subsets.
-
-    A subset is a minimal non-face iff it is not a face but all its
-    one-element-smaller subsets are. Bit sigma of one 2^m-bit int says
-    whether sigma is a face: the facets marked, closed downward by m steps
-    `faces |= faces >> 2^b & LO_b` (the subset zeta transform). m more
-    steps AND in, per b, whether removing b leaves a face. At
-    m <= SCAN_VERTEX_LIMIT the face set is kept on K as that int for
-    face_bits; contains_face prints its table from it on first use, so an
-    analysis that tests no face never pays for the 2^m-character string.
-    Above the limit nothing reads a face set, and none is kept.
-    Time and memory grow as 2^m: minimal_nonsimplices() takes this path at
-    m <= SCAN_VERTEX_LIMIT = 16, and the transversal search above it, where
-    it is faster on the sparse complexes measured.
-    """
-    size = 1 << K.m
-    lows = _low_masks(K.m)
-    marks = bytearray(max(1, size >> 3))
-    for f in K.facets:
+def _face_set(facets: Iterable[int], lows: Sequence[int]) -> int:
+    """The face set as one 2^m-bit int, m = len(lows): the facets marked,
+    then closed downward by m steps `faces |= faces >> 2^b & LO_b` (the
+    subset zeta transform)."""
+    marks = bytearray(max(1, (1 << len(lows)) >> 3))
+    for f in facets:
         marks[f >> 3] |= 1 << (f & 7)
     faces = int.from_bytes(marks, "little")
     for b, low in enumerate(lows):
         faces |= faces >> (1 << b) & low
-    if K.m <= SCAN_VERTEX_LIMIT:
-        K._face_bits = faces
+    return faces
+
+
+def _minimal_nonfaces(faces: int, lows: Sequence[int]) -> list[int]:
+    """The minimal non-faces, ascending, of a face set on m = len(lows)
+    vertices: the non-faces ANDed, per b, with whether removing b leaves a
+    face."""
+    size = 1 << len(lows)
     minimal = ((1 << size) - 1) ^ faces
     for b, low in enumerate(lows):
         minimal &= faces << (1 << b) | low
@@ -452,6 +451,13 @@ def minimal_nonsimplices_by_scan(K: SimplicialComplex) -> list[int]:
         out.append(sigma)
         sigma = bits.find("1", sigma + 1)
     return out
+
+
+def minimal_nonsimplices_by_scan(K: SimplicialComplex) -> list[int]:
+    """N(K) read off the face set as minimal_nonsimplices() reads it, at
+    any m and storing nothing on K. Time and memory grow as 2^m."""
+    lows = _low_masks(K.m)
+    return _minimal_nonfaces(_face_set(K.facets, lows), lows)
 
 
 def minimal_nonsimplices_by_transversal(K: SimplicialComplex) -> list[int]:

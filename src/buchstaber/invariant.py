@@ -16,7 +16,7 @@ from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 from . import gf2, zlattice
-from .complexes import SCAN_VERTEX_LIMIT, SimplicialComplex, _low_masks, full_mask, incidence
+from .complexes import SimplicialComplex, _low_masks, full_mask, incidence
 
 GF2 = "gf2"
 INT = "int"
@@ -32,8 +32,8 @@ MATRIX_SCAN_BIT_LIMIT = 16
 class SearchBudgetExceeded(RuntimeError):
     """A search used up its deterministic work budget for the call: the
     subspace scan the vector positions it passes over (one per candidate
-    test at m > SCAN_VERTEX_LIMIT, the same count from the bit-parallel scan
-    over the face set below it), or xi_search its nodes."""
+    test without a face set, the same count from the bit-parallel scan over
+    the face set), or xi_search its nodes."""
 
 
 def _check_ring(ring: str) -> None:
@@ -274,9 +274,9 @@ def xi_witness_exists(K: SimplicialComplex, k: int) -> Optional[bool]:
     Z_2^m consists (nonzero part) of vectors whose support contains a
     minimal non-face. Returns None when [m choose k]_2 exceeds
     EXISTENCE_SCAN_LIMIT; never returns a wrong answer. `s_real` runs the
-    same scan at every rank >= 4, under its budget above that limit. At
-    m <= SCAN_VERTEX_LIMIT the scan is bit-parallel over the face set;
-    above it, it tests one candidate vector at a time (_good_span).
+    same scan at every rank >= 4, under its budget above that limit. Where
+    the complex has a face set (K.face_bits()) the scan is bit-parallel over
+    it; otherwise it tests one candidate vector at a time (_good_span).
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -299,16 +299,16 @@ def _good_span(K: SimplicialComplex, k: int, budget: Optional[list] = None) -> O
     returns the first subspace it completes. A vector contains a minimal
     non-face iff it is not a face.
 
-    At m <= SCAN_VERTEX_LIMIT the scan is bit-parallel over the complex's
-    face set (K.face_bits()) and tests no vector on its own. A node carries
+    Where the complex has a face set (K.face_bits() is not None) the scan
+    is bit-parallel over it and tests no vector on its own. A node carries
     two 2^m-bit sets: `good`, the x with x ^ s a non-face for every s in the
     span, and `allowed`, the x clear of the top bit of every basis vector,
     which are exactly the coset minima. Its candidates are good & allowed
     from the node's start up, taken in ascending order; each extends the
     basis at once, with good ANDed by its own translate by the candidate and
-    allowed by the candidate's top bit. Above the limit there is no face
-    set, and _good_span_by_tests tests one candidate vector at a time in the
-    same order.
+    allowed by the candidate's top bit. Without a face set,
+    _good_span_by_tests tests one candidate vector at a time in the same
+    order.
 
     Without `budget` the scan is exhaustive. With it, every vector position
     a node passes over takes one unit from `budget[0]`, which callers may
@@ -317,9 +317,10 @@ def _good_span(K: SimplicialComplex, k: int, budget: Optional[list] = None) -> O
     so both paths return the same span, leave the same budget and trip at
     the same point.
     """
-    m = K.m
-    if m > SCAN_VERTEX_LIMIT:
+    faces = K.face_bits()
+    if faces is None:
         return _good_span_by_tests(K, k, budget)
+    m = K.m
     size = 1 << m
     lows = _low_masks(m)
     everything = (1 << size) - 1
@@ -352,7 +353,7 @@ def _good_span(K: SimplicialComplex, k: int, budget: Optional[list] = None) -> O
         return False
 
     try:
-        if not extend(everything ^ K.face_bits(), everything, 1, 0):
+        if not extend(everything ^ faces, everything, 1, 0):
             return None
     finally:
         del extend  # a recursive closure holds itself: free it without gc
@@ -366,9 +367,9 @@ def _good_span_by_tests(
     K: SimplicialComplex, k: int, budget: Optional[list] = None
 ) -> Optional[list[int]]:
     """_good_span by one face test per candidate vector (K.contains_face):
-    the scan above SCAN_VERTEX_LIMIT, where the complex has no face set, and
-    the tests' reference for the bit-parallel scan below it. Same order,
-    same result, same budget units: one per candidate vector tested."""
+    the scan where the complex has no face set, and the tests' reference
+    for the bit-parallel scan where it has one. Same order, same result,
+    same budget units: one per candidate vector tested."""
     is_face = K.contains_face
     m = K.m
     span = [0]
@@ -683,7 +684,9 @@ def s_real(
     node_budget: int = SCAN_DEFAULT_CANDIDATE_BUDGET,
 ) -> SRealResult:
     """Largest k admitting a xi mapping, or a certified interval when the
-    k cap or the budget stops the climb.
+    k cap or the budget stops the climb. The cap is max_k, and never above
+    gf2.MAX_DIM, the largest rank xi_to_matrix lifts; a max_k below 0 is a
+    ValueError.
 
     The criteria of check_criteria alone decide ranks 1..3: a xi mapping of
     rank r <= 3 exists iff the level is at least r, so a level below 3
@@ -705,9 +708,11 @@ def _climb(K: SimplicialComplex, criteria: tuple, max_k: int, node_budget: int) 
     configuration's record in _CONFIGURATIONS, and the subspace scan climbs
     on. xi_to_matrix lifts the witness of whichever rank the climb ends at.
     """
+    if max_k < 0:
+        raise ValueError(f"max_k must be >= 0, got {max_k}")
     level, crit_w = criteria
     ub = K.m - K.dimension - 1
-    cap = min(ub, max(0, max_k))
+    cap = min(ub, max_k, gf2.MAX_DIM)
     value = min(level, cap)
     best: Optional[XiWitness] = None
     if value:
@@ -1238,7 +1243,8 @@ def analyze(
     and the witnesses backing them. The criteria run first and decide
     ranks 1..3 of the xi climb of s_real; the witness at those ranks is read
     off the matched configuration's record, without a search, and the
-    subspace scan decides higher ranks under node_budget as in s_real.
+    subspace scan decides higher ranks up to max_k and under node_budget,
+    as in s_real.
     `threads` is accepted and has no effect."""
     _check_threads(threads)
     nonsimp = K.minimal_nonsimplices()

@@ -1,4 +1,4 @@
-"""Complex construction, minimal non-faces, the face table, and the dual
+"""Complex construction, minimal non-faces, the face set, and the dual
 reconstructions."""
 
 from itertools import combinations, permutations
@@ -35,7 +35,7 @@ def masks(K):
 
 
 def is_face(K, sigma):
-    """Face test over the facets, independent of the face table."""
+    """Face test over the facets, independent of the face set."""
     return any(sigma & ~f == 0 for f in K.facets)
 
 
@@ -149,9 +149,9 @@ def test_one_skeleton():
     assert points(3).one_skeleton() == points(3)
     K = SimplicialComplex.from_facets(5, [[1, 2, 3], [4]])  # 4 isolated, 5 a ghost
     want = SimplicialComplex.from_facets(5, [[1, 2], [1, 3], [2, 3], [4]])
-    assert K.one_skeleton() == want  # by facet scans
-    K.minimal_nonsimplices()
-    assert K.one_skeleton() == want  # from the face table
+    assert K.one_skeleton() == want
+    assert K.minimal_nonsimplices()
+    assert K.one_skeleton() == want  # the same with N(K) built
 
 
 def test_contains_face():
@@ -229,7 +229,7 @@ def test_nonfaces_at_benchmark_scale(K, count):
 
 def test_nonfaces_of_the_four_skeleton_of_the_15_simplex():
     # the facets are the C(16, 5) = 4 368 five-sets and the minimal
-    # non-faces the C(16, 6) = 8 008 six-sets; the table path takes
+    # non-faces the C(16, 6) = 8 008 six-sets; the face set takes
     # milliseconds where the transversal search walks every facet
     # complement at its top nodes
     K = skeleton(15, 4)
@@ -239,25 +239,56 @@ def test_nonfaces_of_the_four_skeleton_of_the_15_simplex():
     assert minimal_nonsimplices_by_transversal(K) == six_sets
 
 
+def empty_caches(K):
+    """Whether no derived fact about K has been filled in yet."""
+    return all(getattr(K, slot) is None for slot in K.__slots__ if slot not in ("m", "facets", "_dim"))
+
+
 @pytest.mark.parametrize("n", [15, 16])
 def test_scan_and_transversals_agree_across_the_limit(n):
-    # skeleton(15, 2) has m = 16, the largest m that keeps a face table;
-    # skeleton(16, 2) has m = 17 and takes the transversals; N(K) keeps only
-    # the face set, and no face test has printed the table yet
+    # skeleton(15, 2) has m = 16, the largest m with a face set; skeleton(16,
+    # 2) has m = 17, no face set, and takes the transversals
     K = skeleton(n, 2)
     ns = K.minimal_nonsimplices()
-    assert (K._face_bits is not None) == (K.m <= SCAN_VERTEX_LIMIT)
-    assert K._faces is None
+    assert (K.face_bits() is not None) == (K.m <= SCAN_VERTEX_LIMIT)
     assert len(ns) == comb(K.m, 4)
     kept = complexes._kept_low_masks.cache_info().currsize
-    fresh = skeleton(n, 2)
-    assert minimal_nonsimplices_by_scan(fresh) == list(ns)
+    assert minimal_nonsimplices_by_scan(skeleton(n, 2)) == list(ns)
     # the scan above keeps the m = 16 masks; at m = 17 the direct call
-    # builds its masks (17 of 2^17 bits) and keeps none, nor the face set,
-    # which no face test reads above the limit
+    # builds its masks (17 of 2^17 bits) and keeps none
     assert complexes._kept_low_masks.cache_info().currsize == kept
-    assert (fresh._face_bits is not None) == (fresh.m <= SCAN_VERTEX_LIMIT)
     assert minimal_nonsimplices_by_transversal(skeleton(n, 2)) == list(ns)
+
+
+@pytest.mark.parametrize("K", [skeleton(15, 2), cyclic_polytope_boundary(4, 17)], ids=["m16", "m17"])
+def test_direct_scan_stores_nothing_on_the_complex(K):
+    assert empty_caches(K)
+    assert minimal_nonsimplices_by_scan(K) == minimal_nonsimplices_by_transversal(K)
+    assert empty_caches(K)
+
+
+@pytest.mark.parametrize("m", [1, 2, 15, 16, 17, 18, 64])
+def test_face_set_exists_exactly_up_to_the_limit(m):
+    K = points(m)
+    faces = K.face_bits()
+    assert (faces is None) == (m > SCAN_VERTEX_LIMIT)
+    if faces is not None:
+        # the empty face and the m vertices
+        assert faces == 1 | sum(1 << (1 << v) for v in range(m))
+        assert K.face_bits() is faces
+
+
+@pytest.mark.parametrize("K", [cycle(6), skeleton(15, 2)], ids=["m6", "m16"])
+def test_face_test_on_a_fresh_complex_builds_no_nonfaces(K, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a face test built N(K)")
+
+    monkeypatch.setattr(complexes, "_minimal_nonfaces", refuse)
+    monkeypatch.setattr(complexes, "minimal_nonsimplices_by_transversal", refuse)
+    assert K.contains_face(0b11) and not K.contains_face(0b1111)
+    assert K.face_bits() is not None
+    monkeypatch.undo()
+    assert not K.contains_face(K.minimal_nonsimplices()[0])
 
 
 def test_face_table_edge_cases():
@@ -270,11 +301,12 @@ def test_face_table_edge_cases():
     ]
     for K, want in cases:
         assert [face_vertices(w) for w in K.minimal_nonsimplices()] == want, K
-        assert K._face_bits is not None and K._faces is None
         assert minimal_nonsimplices_by_transversal(K) == list(K.minimal_nonsimplices())
-        for sigma in (-1, *range(1 << K.m), 1 << K.m):
+        faces = K.face_bits()
+        assert faces == sum(1 << sigma for sigma in range(1 << K.m) if is_face(K, sigma)), K
+        # sigma = -1 and sigma >= 2^m are no faces
+        for sigma in (-1, *range(1 << K.m), 1 << K.m, (1 << K.m) | 1):
             assert K.contains_face(sigma) == is_face(K, sigma), (K, sigma)
-        assert len(K._faces) == 1 << K.m
 
 
 @pytest.mark.parametrize(
@@ -299,15 +331,15 @@ def test_facet_sides_follow_the_facets_and_split_the_vertices(K):
 
 
 def test_wide_complex_takes_transversals_without_a_table(monkeypatch):
-    def refuse(K):
-        raise AssertionError("the subset scan ran above SCAN_VERTEX_LIMIT")
+    def refuse(facets, lows):
+        raise AssertionError("a face set was built above SCAN_VERTEX_LIMIT")
 
-    monkeypatch.setattr(complexes, "minimal_nonsimplices_by_scan", refuse)
+    monkeypatch.setattr(complexes, "_face_set", refuse)
     # m = 64: a path on vertices 1..8 and two facets on the top vertices
     facets = [0b11 << i for i in range(7)] + [0b111 << 58, 0b11 << 62]
     K = SimplicialComplex(64, facets)
     ns = K.minimal_nonsimplices()
-    assert K._faces is None
+    assert K.face_bits() is None
     assert ns == tuple(minimal_nonsimplices_by_transversal(K))
     assert is_antichain(ns) and 1 << 8 in ns and 0b101 in ns
     assert K.contains_face(0b11 << 62) and not K.contains_face(1 << 8)
@@ -318,23 +350,42 @@ def test_wide_complex_takes_transversals_without_a_table(monkeypatch):
     [
         cycle(6),
         random_complex(9, 5, 1, 2, 2),
-        skeleton(15, 2),  # m = 16, the largest m with a face table
+        skeleton(15, 2),  # m = 16, the largest m with a face set
         skeleton(16, 2),  # m = 17
         SimplicialComplex(64, [0b11 << i for i in range(7)] + [0b111 << 58, 0b11 << 62]),
     ],
     ids=lambda K: f"m{K.m}",
 )
 def test_fresh_complex_face_tests_read_a_table_only_up_to_the_limit(K):
-    # no N(K) asked for first: the first face test builds the table at
-    # m <= SCAN_VERTEX_LIMIT, and above it every face test scans the facets
+    # no N(K) asked for first: face tests read the face set at
+    # m <= SCAN_VERTEX_LIMIT, and above it there is none to read
     top = full_mask(K.m)
     sigmas = [0, 1, 0b11, 0b111, 0b1111, 1 << K.m - 1, 0b11 << K.m - 2, top, -1, top + 1]
     assert [K.contains_face(s) for s in sigmas] == [is_face(K, s) for s in sigmas]
-    assert (K._faces is not None) == (K.m <= SCAN_VERTEX_LIMIT)
+    assert (K.face_bits() is None) == (K.m > SCAN_VERTEX_LIMIT)
     if K.m <= 10:
         assert [K.contains_face(s) for s in range(1 << K.m)] == [
             is_face(K, s) for s in range(1 << K.m)
         ]
+
+
+@pytest.mark.parametrize("m", [16, 17, 20])
+def test_face_tests_match_the_facet_scan_on_both_sides_of_the_limit(m):
+    rng = Lcg(m)
+    # random facets of 2 to 5 vertices, leaving vertex m a ghost
+    facets = []
+    for _ in range(40):
+        f = 0
+        while f.bit_count() < 2 + rng.below(4):
+            f |= 1 << rng.below(m - 1)
+        facets.append(f)
+    top = full_mask(m)
+    for K in (SimplicialComplex(m, facets), SimplicialComplex(m, [])):
+        sigmas = [-1, 0, top, top + 1, 1 << m - 1, *(1 << v for v in range(m))]
+        sigmas += [rng.below(1 << m) & rng.below(1 << m) & rng.below(1 << m) for _ in range(2000)]
+        sigmas += [f & rng.below(1 << m) for f in facets for _ in range(5)]
+        assert [K.contains_face(s) for s in sigmas] == [is_face(K, s) for s in sigmas]
+        assert (K.face_bits() is None) == (m > SCAN_VERTEX_LIMIT)
 
 
 def _random_corpus():

@@ -547,6 +547,39 @@ def test_cli_negative_threads_rejected(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_cli_negative_max_k_rejected(tmp_path, capsys):
+    c5 = tmp_path / "c5.cplx"
+    main(["gen", "cycle", "5", "-o", str(c5)])
+    for verb in ("analyze", "sreal", "oracle"):
+        assert run_cli(tmp_path, verb, str(c5), "--max-k", "-1") == (1, "")
+        assert capsys.readouterr().err == "error: --max-k must be >= 0, got -1\n"
+    # zero stays valid: the climb stops at once, and an interval is a guard
+    code, text = run_cli(tmp_path, "sreal", str(c5), "--max-k", "0")
+    assert code == 2 and text.startswith("s_real(K) in [0, 3]")
+    assert run_cli(tmp_path, "oracle", str(c5), "--max-k", "0") == (0, "oracle agreement: yes\n")
+
+
+def test_cli_climb_stops_at_the_largest_liftable_rank(tmp_path):
+    # points(19) has m - dim - 1 = 18, beyond the 16 ranks a witness lifts
+    # at; the climb stops at 16 and reports an interval, not an error
+    p19 = tmp_path / "p19.cplx"
+    main(["gen", "points", "19", "-o", str(p19)])
+    code, text = run_cli(tmp_path, "sreal", str(p19), "--max-k", "17")
+    assert code == 2 and text.startswith("s_real(K) in [16, 18]\n")
+    code, text = run_cli(tmp_path, "analyze", str(p19), "--max-k", "17", "--json")
+    report = json.loads(text)
+    assert code == 2 and (report["s_real"]["value"], report["s"]["value"]) == (18, 18)
+    assert report["s_real"]["searched"] == 16 and report["matrix_witness"] is not None
+
+
+def test_cli_max_k_help_names_the_rank_cap(capsys):
+    for verb in ("analyze", "sreal"):
+        with pytest.raises(SystemExit):
+            main([verb, "--help"])
+        words = " ".join(capsys.readouterr().out.split())
+        assert "never above 16" in words
+
+
 def test_cli_threads_flag_changes_nothing(tmp_path):
     # the worker count is accepted and validated, and has no effect
     for n, spec in enumerate((["cycle", "5"], ["random", "7", "1", "2", "--seed", "3"])):

@@ -639,6 +639,28 @@ def test_s_real_interval_on_max_k_cap():
     assert (r.lower, r.upper) == (2, 7)
 
 
+def test_negative_max_k_is_refused_and_zero_is_valid():
+    for run in (s_real, analyze):
+        with pytest.raises(ValueError, match="max_k"):
+            run(cycle(5), max_k=-1)
+    r = s_real(cycle(5), max_k=0)
+    assert (r.lower, r.upper, r.exact, r.xi_witness, r.matrix_rows) == (0, 3, False, None, None)
+    assert analyze(cycle(5), max_k=0).s_real_searched == 0
+
+
+def test_climb_stops_at_the_largest_liftable_rank():
+    # m - dim - 1 = 17 lies above gf2.MAX_DIM = 16, the largest rank
+    # xi_to_matrix lifts: the climb stops there with a certified interval
+    K = points(18)
+    r = s_real(K, max_k=18)
+    assert (r.lower, r.upper, r.exact) == (16, 17, False)
+    assert validate_xi(K, r.xi_witness) and verify_S(K, r.matrix_rows, 16, "gf2")
+    rep = analyze(K, max_k=17)
+    assert (rep.s_lower, rep.s_upper, rep.s_real_lower, rep.s_real_upper) == (17, 17, 17, 17)
+    assert rep.s_real_searched == 16 and rep.s_real_exact
+    assert "real invariant lower bound tightened by integral bounds; witnesses certify rank 16" in rep.warnings
+
+
 def test_s_real_interval_on_budget():
     # at m = 8 every rank lies below the scan's cap, where the scan is
     # exhaustive, so the budget cannot stop the climb
@@ -768,8 +790,7 @@ def test_scan_above_the_face_set_limit_is_the_loop():
     # at m = 17 the complex has no face set, and the scan tests each
     # candidate against the facets
     K = cyclic_polytope_boundary(4, 17)
-    with pytest.raises(ValueError):
-        K.face_bits()
+    assert K.face_bits() is None
     left = [5_000]
     span = invariant._good_span(K, 5, left)
     assert scan_outcome(invariant._good_span_by_tests, K, 5, 5_000) == (span, left[0])

@@ -21,6 +21,7 @@ from buchstaber.invariant import analyze
 
 REPORTS_SHA256 = "10d499237a74d8059b3165683f4d6502392ac20b8ec6e91d3d378669e7660a9d"
 POLYTOPAL_REPORTS_SHA256 = "c8f7e370e5d2a2a278b0262eb11f9d3e3843c39ef61e6eb419beb6ccd39e17ea"
+WIDE_REPORTS_SHA256 = "b95eec7500a2ccb41f5c7d03299897361c61efd17d83f483b6c1bd5ade9ce4bd"
 
 
 def corpus():
@@ -62,3 +63,25 @@ def test_polytopal_report_json_bytes_are_pinned():
     for K in polytopal_corpus():
         digest.update(report_to_json(analyze(K, polytopal=True, max_k=3)).encode())
     assert digest.hexdigest() == POLYTOPAL_REPORTS_SHA256
+
+
+def wide_corpus():
+    """(complex, polytopal) pairs above m = 16, where a complex has no face
+    set: the 3-skeleta of the 17- and 19-simplex, C^8(22) and C^6(20)
+    analysed as polytopal, join(C9, C9) and the complete graph on 20
+    vertices."""
+    return [
+        (skeleton(17, 3), False),
+        (cyclic_polytope_boundary(8, 22), True),
+        (cyclic_polytope_boundary(6, 20), True),
+        (join(cycle(9), cycle(9)), False),
+        (complete_graph(20), False),
+        (skeleton(19, 3), False),
+    ]
+
+
+def test_wide_report_json_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for K, polytopal in wide_corpus():
+        digest.update(report_to_json(analyze(K, polytopal=polytopal)).encode())
+    assert digest.hexdigest() == WIDE_REPORTS_SHA256
