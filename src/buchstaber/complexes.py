@@ -7,8 +7,9 @@ single machine-word operation, which is what the search layers rely on.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations, repeat
+from operator import or_
 from typing import Iterable, Sequence
 
 MAX_VERTICES = 64
@@ -182,7 +183,7 @@ class SimplicialComplex:
 
     __slots__ = (
         "m", "facets", "_nonsimplices", "_face_bits", "_incidence", "_facet_incidence", "_sides", "_dim",
-        "_auts",
+        "_auts", "_support",
     )
 
     def __init__(self, m: int, facets: Iterable[int]):
@@ -203,6 +204,7 @@ class SimplicialComplex:
         self._sides: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...] | None = None
         self._auts: tuple[tuple[int, ...], ...] | None = None
         self._dim = max(f.bit_count() for f in self.facets) - 1
+        self._support = reduce(or_, self.facets)  # the vertices that are faces
 
     @classmethod
     def from_facets(cls, m: int, facets: Iterable[Iterable[int]]) -> "SimplicialComplex":
@@ -315,16 +317,11 @@ class SimplicialComplex:
 
     def vertices(self) -> list[int]:
         """1-based vertices that are faces (ghost vertices excluded)."""
-        support = 0
-        for f in self.facets:
-            support |= f
-        return face_vertices(support)
+        return face_vertices(self._support)
 
     def ghost_vertices(self) -> list[int]:
-        support = 0
-        for f in self.facets:
-            support |= f
-        return face_vertices(full_mask(self.m) & ~support)
+        """1-based vertices that are not faces."""
+        return face_vertices(full_mask(self.m) & ~self._support)
 
     def one_skeleton(self) -> "SimplicialComplex":
         """Subcomplex of all faces with at most 2 vertices."""

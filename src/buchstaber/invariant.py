@@ -1056,9 +1056,12 @@ def cover_lower_bound(K: SimplicialComplex) -> CoverBound:
 
     Maximizing m - sum |w_i| + l is minimizing sum (|w_i| - 1) subject to
     covering every vertex; branching is on the lowest uncovered vertex with
-    candidates in canonical order, so the optimal cover returned is the
-    canonically first one. Above COVER_SEARCH_GUARD non-faces the search
-    is skipped and the greedy cover is returned, marked heuristic.
+    candidates in canonical order. The greedy cover is the first incumbent
+    and only a strictly cheaper cover replaces it, so an optimal greedy
+    cover is the one returned, even where another optimal cover comes first
+    in the branching order; otherwise it is the first optimal cover in that
+    order. Above COVER_SEARCH_GUARD non-faces the search is skipped and the
+    greedy cover is returned, marked heuristic.
     """
     nonsimp = K.minimal_nonsimplices()
     m = K.m
@@ -1108,23 +1111,17 @@ def cover_lower_bound(K: SimplicialComplex) -> CoverBound:
 
 def chromatic_number(K: SimplicialComplex) -> int:
     """Exact chromatic number of a complex of dimension <= 1, its graph
-    read off the edge facets; ghost vertices are not colored. For a caller
-    without N(K); analyze, which has built it, uses _skeleton_chromatic."""
+    read off N(K) by _skeleton_chromatic; ghost vertices are not colored."""
     if K.dimension > 1:
         raise ValueError("chromatic number is defined here only for dim <= 1")
-    adj = [0] * K.m
-    for f in K.facets:
-        if f.bit_count() == 2:
-            lo, hi = (f & -f).bit_length() - 1, f.bit_length() - 1
-            adj[lo] |= 1 << hi
-            adj[hi] |= 1 << lo
-    return _color_count([v - 1 for v in K.vertices()], adj)
+    return _skeleton_chromatic(K)
 
 
 def _skeleton_chromatic(K: SimplicialComplex) -> int:
     """Chromatic number of the 1-skeleton of K, read off N(K): the face
     vertices are those in no 1-element non-face, and two of them are
-    adjacent unless they form a 2-element minimal non-face."""
+    adjacent unless they form a 2-element minimal non-face. This is the
+    one 1-skeleton reader behind every chromatic number in the package."""
     nonsimp = K.minimal_nonsimplices()
     ghosts = 0
     for w in nonsimp:
@@ -1141,44 +1138,47 @@ def _skeleton_chromatic(K: SimplicialComplex) -> int:
 
 def _color_count(verts: Sequence[int], adj: Sequence[int]) -> int:
     """Exact chromatic number of the graph on the 0-based `verts` whose
-    neighbours of v are the bitset adj[v].
-
-    Backtracking with vertices in descending-degree order and the usual
-    first-new-color symmetry break; each color class is a vertex bitset,
-    open to v iff it misses adj[v]. A clique taken greedily in the same
-    order bounds the number from below, and the search stops at the first
-    coloring with that many colors.
-    """
-    n = len(verts)
+    neighbours of v are the bitset adj[v]: the least c, counting up from the
+    size of a clique taken greedily in descending-degree order, that
+    _colorable accepts with the vertices in that order."""
     order = sorted(verts, key=lambda v: (-adj[v].bit_count(), v))
     clique = 0
     for v in order:
         if not clique & ~adj[v]:
             clique |= 1 << v
-    floor = clique.bit_count()
-    classes = [0] * (n + 1)
-    best = n + 1
+    c = clique.bit_count()
+    while not _colorable(order, adj, c):
+        c += 1
+    return c
+
+
+def _colorable(order: Sequence[int], adj: Sequence[int], c: int) -> bool:
+    """Whether the graph on the 0-based vertices `order`, neighbours of v
+    the bitset adj[v], has a proper coloring with c colors.
+
+    Plain backtracking over `order`. Each color class is a vertex bitset,
+    open to v iff it misses adj[v], and a vertex opens at most one new
+    class, so no coloring is tried twice under a renaming of its colors.
+    """
+    n = len(order)
+    classes = [0] * c
 
     def solve(pos: int, used: int) -> bool:
-        nonlocal best
-        if used >= best:
-            return False
         if pos == n:
-            best = used
-            return used == floor
+            return True
         v = order[pos]
         bit, neigh = 1 << v, adj[v]
-        for c in range(1, min(used + 1, best - 1) + 1):
-            if not classes[c] & neigh:
-                classes[c] |= bit
-                if solve(pos + 1, max(used, c)):
+        for k in range(min(used + 1, c)):
+            if not classes[k] & neigh:
+                classes[k] |= bit
+                if solve(pos + 1, max(used, k + 1)):
                     return True
-                classes[c] ^= bit
+                classes[k] ^= bit
         return False
 
-    solve(0, 0)
+    found = solve(0, 0)
     del solve  # a recursive closure holds itself: free it without gc
-    return best
+    return found
 
 
 def ayzenberg_s(K: SimplicialComplex) -> int:

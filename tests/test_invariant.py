@@ -4,7 +4,9 @@ import gc
 import random
 import time
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, permutations
+from operator import or_
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from buchstaber import gf2, invariant, zlattice
 from buchstaber.cli import main
-from buchstaber.complexes import SimplicialComplex, face_mask, face_vertices, incidence
+from buchstaber.complexes import SimplicialComplex, face_mask, face_vertices, full_mask, incidence
 from buchstaber.generators import (
     boundary_simplex,
     complete_graph,
@@ -1259,7 +1261,12 @@ CROWN = [sum(1 << (2 * j + 1 - v % 2) for j in range(4) if j != v // 2) for v in
 @example((list(range(8)), CROWN))
 def test_color_count_is_the_chromatic_number(graph):
     verts, adj = graph
-    assert invariant._color_count(verts, adj) == chromatic_by_subsets(verts, adj)
+    gamma = chromatic_by_subsets(verts, adj)
+    assert invariant._color_count(verts, adj) == gamma
+    # the decider behind it accepts gamma colors and refutes gamma - 1
+    assert invariant._colorable(verts, adj, gamma)
+    if gamma:
+        assert not invariant._colorable(verts, adj, gamma - 1)
 
 
 @st.composite
@@ -1362,6 +1369,26 @@ def test_cover_lower_bound_examples():
     assert [face_vertices(s) for s in cb.cover] == [[1, 2, 3]]
     cb = cover_lower_bound(cycle(5))
     assert cb.value == 2 and len(cb.cover) == 3
+
+
+def test_cover_keeps_an_optimal_greedy_cover():
+    # two covers of cost 3: {1,2},{2,3},{4,5} comes first in the branching
+    # order, but only a strictly cheaper cover replaces the greedy incumbent
+    K = SimplicialComplex.from_facets(5, [[2, 4], [1, 3, 4], [1, 5], [2, 5]])
+    ns = K.minimal_nonsimplices()
+    cb = cover_lower_bound(K)
+    greedy = tuple(sorted(ns[i] for i in greedy_cover(ns, K.m)))
+    assert cb == CoverBound(2, greedy, True, False)
+    assert [face_vertices(w) for w in cb.cover] == [[1, 2], [3, 5], [4, 5]]
+    # every cover by the non-faces, by exhaustion: both covers are optimal
+    costs = {
+        sel: sum(w.bit_count() - 1 for w in sel)
+        for r in range(1, len(ns) + 1)
+        for sel in combinations(ns, r)
+        if reduce(or_, sel) == full_mask(K.m)
+    }
+    first = tuple(face_mask(w, K.m) for w in [[1, 2], [2, 3], [4, 5]])
+    assert K.m - min(costs.values()) == cb.value == K.m - costs[first] == K.m - costs[cb.cover]
 
 
 def test_cover_not_coverable():
