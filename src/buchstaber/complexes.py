@@ -183,7 +183,7 @@ class SimplicialComplex:
 
     __slots__ = (
         "m", "facets", "_nonsimplices", "_face_bits", "_incidence", "_facet_incidence", "_sides", "_dim",
-        "_auts", "_support",
+        "_auts",
     )
 
     def __init__(self, m: int, facets: Iterable[int]):
@@ -204,7 +204,6 @@ class SimplicialComplex:
         self._sides: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...] | None = None
         self._auts: tuple[tuple[int, ...], ...] | None = None
         self._dim = max(f.bit_count() for f in self.facets) - 1
-        self._support = reduce(or_, self.facets)  # the vertices that are faces
 
     @classmethod
     def from_facets(cls, m: int, facets: Iterable[Iterable[int]]) -> "SimplicialComplex":
@@ -317,11 +316,11 @@ class SimplicialComplex:
 
     def vertices(self) -> list[int]:
         """1-based vertices that are faces (ghost vertices excluded)."""
-        return face_vertices(self._support)
+        return face_vertices(reduce(or_, self.facets))
 
     def ghost_vertices(self) -> list[int]:
         """1-based vertices that are not faces."""
-        return face_vertices(full_mask(self.m) & ~self._support)
+        return face_vertices(full_mask(self.m) & ~reduce(or_, self.facets))
 
     def one_skeleton(self) -> "SimplicialComplex":
         """Subcomplex of all faces with at most 2 vertices."""

@@ -4,7 +4,10 @@
 definition a xi witness is checked against; the package's `validate_xi`
 decides the same question by per-vertex affine systems instead.
 `least_solution_rows` solves those systems by scanning every candidate row,
-the reference for `xi_to_matrix`.
+the reference for `xi_to_matrix`. `edge_facet_chromatic` reads a graph off
+its edge facets and colors it by `chromatic_by_subsets`, a DP over vertex
+subsets; the package reads the 1-skeleton off N(K) and colors it by
+backtracking instead.
 """
 
 from functools import cache
@@ -79,3 +82,40 @@ def least_solution_rows(m: int, k: int, assignment: dict[int, int]) -> list:
             None,
         ))
     return rows
+
+
+def chromatic_by_subsets(verts, adj):
+    """Fewest independent sets covering `verts`, by a DP over vertex subsets."""
+    full = sum(1 << v for v in verts)
+    best = {0: 0}
+    for S in range(1, full + 1):
+        if S & ~full:
+            continue
+        low = S & -S
+        rest = S ^ low
+        sub, fewest = rest, None
+        while True:  # every independent I in S holding S's lowest vertex
+            I = sub | low
+            if all(not adj[v] & I for v in verts if I >> v & 1):
+                n = best[S ^ I] + 1
+                fewest = n if fewest is None else min(fewest, n)
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+        best[S] = fewest
+    return best[full]
+
+
+def edge_facet_chromatic(G) -> int:
+    """Chromatic number of the complex G of dimension <= 1: its vertices are
+    those in some facet, its edges its 2-element facets."""
+    adj = [0] * G.m
+    verts = set()
+    for f in G.facets:
+        ends = [v for v in range(G.m) if f >> v & 1]
+        verts.update(ends)
+        if len(ends) == 2:
+            a, b = ends
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+    return chromatic_by_subsets(sorted(verts), adj)

@@ -36,6 +36,8 @@ from buchstaber.invariant import (
     xi_to_matrix,
 )
 from buchstaber.zlattice import counterexample_matrix, det_exact, lemma_r23_scan
+from oracles import edge_facet_chromatic
+
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
     print(f"\nACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} - {detail}")
@@ -193,7 +195,9 @@ def test_acceptance_5_graph_oracle():
             if r.lower < ayz:
                 violations.append((m, emask, "s_real", r.lower, ayz))
             rep = analyze(G)
-            gamma = chromatic_number(G)
+            gamma = edge_facet_chromatic(G)
+            if chromatic_number(G) != gamma:
+                violations.append((m, emask, "chromatic_number", gamma))
             if not (rep.s_exact and rep.s_value == G.m - gamma.bit_length()):
                 violations.append((m, emask, "analyze", rep.s_value))
     spot = {

@@ -240,9 +240,8 @@ def test_nonfaces_of_the_four_skeleton_of_the_15_simplex():
 
 
 def empty_caches(K):
-    """Whether no cached fact about K has been filled in yet; the
-    dimension and the vertex support are set at construction."""
-    return all(getattr(K, slot) is None for slot in K.__slots__ if slot not in ("m", "facets", "_dim", "_support"))
+    """Whether no derived fact about K has been filled in yet."""
+    return all(getattr(K, slot) is None for slot in K.__slots__ if slot not in ("m", "facets", "_dim"))
 
 
 @pytest.mark.parametrize("n", [15, 16])

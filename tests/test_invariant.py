@@ -54,7 +54,7 @@ from buchstaber.invariant import (
     xi_to_matrix,
 )
 from conftest import nonsimplex_condition_by_enumeration
-from oracles import odd_circuits
+from oracles import chromatic_by_subsets, edge_facet_chromatic, odd_circuits
 
 S3 = [0b001, 0b010, 0b011]  # rows (1,0),(0,1),(1,1)
 S3_INT = [[1, 0], [0, 1], [1, 1]]
@@ -1215,28 +1215,6 @@ def test_chromatic_number_against_brute_force():
         assert chromatic_number(K) == (want or 0)
 
 
-def chromatic_by_subsets(verts, adj):
-    """Fewest independent sets covering `verts`, by a DP over vertex subsets."""
-    full = sum(1 << v for v in verts)
-    best = {0: 0}
-    for S in range(1, full + 1):
-        if S & ~full:
-            continue
-        low = S & -S
-        rest = S ^ low
-        sub, fewest = rest, None
-        while True:  # every independent I in S holding S's lowest vertex
-            I = sub | low
-            if all(not adj[v] & I for v in verts if I >> v & 1):
-                n = best[S ^ I] + 1
-                fewest = n if fewest is None else min(fewest, n)
-            if not sub:
-                break
-            sub = (sub - 1) & rest
-        best[S] = fewest
-    return best[full]
-
-
 @st.composite
 def graphs(draw):
     n = draw(st.integers(0, 8))
@@ -1285,8 +1263,8 @@ def complexes_with_ghosts(draw):
 def test_skeleton_chromatic_from_nonfaces_matches_the_one_skeleton(K):
     assert K.ghost_vertices()
     G = K.one_skeleton()
-    gamma = chromatic_number(G)
-    assert invariant._skeleton_chromatic(K) == gamma
+    gamma = edge_facet_chromatic(G)  # read off G's edge facets, not N(K)
+    assert invariant._skeleton_chromatic(K) == chromatic_number(G) == gamma
     # analyze takes its one gamma from the N(K) reader: the polytopal bound
     # on K, and on the graph G also the graph formula's fields
     assert analyze(K, polytopal=True, max_k=3).chromatic_bound == K.m - gamma
