@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .complexes import MAX_VERTICES, SimplicialComplex, face_mask
+from .complexes import MAX_VERTICES, SimplicialComplex
 
 
 def simplex(n: int) -> SimplicialComplex:
@@ -64,22 +64,30 @@ def cyclic_polytope_boundary(n: int, m: int) -> SimplicialComplex:
     """Boundary complex of the cyclic polytope C^n(m) by Gale's evenness rule.
 
     An n-subset of [m] is a facet iff every two vertices outside it are
-    separated by an even number of its elements.
+    separated by an even number of its elements. Read along 1..m, such a
+    subset is an initial run 1..a, then interior runs of even length kept
+    apart by outside vertices, then a final run m-b+1..m (a, b >= 0). Each
+    facet is built once from its (a, b) and the t = (n-a-b)/2 dominoes
+    {v, v+1} that tile its interior runs; the dominoes lie in a+2..m-b-1,
+    and t of them fit there in C(m-a-b-2-t, t) ways, chosen as t slots of
+    that many. The cost follows the facet count, n = 2d giving
+    m/(m-d) * C(m-d, d) facets and n = 2d+1 giving 2 * C(m-d-1, d).
     """
     if not 2 <= n < m:
         raise ValueError("cyclic polytope needs 2 <= n < m")
+    if m > MAX_VERTICES:
+        raise ValueError(f"vertex count m={m} outside 1..{MAX_VERTICES}")
     facets = []
-    for combo in combinations(range(1, m + 1), n):
-        inside = set(combo)
-        outside = [v for v in range(1, m + 1) if v not in inside]
-        ok = True
-        for a, b in combinations(outside, 2):
-            between = sum(1 for x in combo if a < x < b)
-            if between % 2:
-                ok = False
-                break
-        if ok:
-            facets.append(face_mask(combo, m))
+    for a in range(n + 1):
+        for b in range(n - a, -1, -2):
+            ends = (1 << a) - 1 | ((1 << b) - 1) << (m - b)
+            t = (n - a - b) // 2
+            # domino j in slot c covers the bits a+1+c+j and a+2+c+j
+            for slots in combinations(range(m - a - b - 2 - t), t):
+                mask = ends
+                for j, c in enumerate(slots):
+                    mask |= 3 << (a + 1 + c + j)
+                facets.append(mask)
     return SimplicialComplex(m, facets)
 
 

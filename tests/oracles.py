@@ -7,11 +7,15 @@ decides the same question by per-vertex affine systems instead.
 the reference for `xi_to_matrix`. `edge_facet_chromatic` reads a graph off
 its edge facets and colors it by `chromatic_by_subsets`, a DP over vertex
 subsets; the package reads the 1-skeleton off N(K) and colors it by
-backtracking instead.
+backtracking instead. `cyclic_facets_by_subsets` tests every n-subset of [m]
+against Gale's evenness condition, and `cyclic_facet_count` gives the
+closed-form number of facets of C^n(m); the package builds those facets run
+by run instead.
 """
 
 from functools import cache
 from itertools import combinations
+from math import comb
 
 CIRCUIT_MAX_DIM = 8
 
@@ -119,3 +123,31 @@ def edge_facet_chromatic(G) -> int:
             adj[a] |= 1 << b
             adj[b] |= 1 << a
     return chromatic_by_subsets(sorted(verts), adj)
+
+
+def cyclic_facets_by_subsets(n: int, m: int) -> list[int]:
+    """The facets of C^n(m) as ascending masks: every n-subset of [m] whose
+    outside vertices are pairwise separated by an even number of its
+    elements."""
+    facets = []
+    for combo in combinations(range(1, m + 1), n):
+        inside = set(combo)
+        outside = [v for v in range(1, m + 1) if v not in inside]
+        ok = True
+        for a, b in combinations(outside, 2):
+            between = sum(1 for x in combo if a < x < b)
+            if between % 2:
+                ok = False
+                break
+        if ok:
+            facets.append(sum(1 << (v - 1) for v in combo))
+    return sorted(facets)
+
+
+def cyclic_facet_count(n: int, m: int) -> int:
+    """The number of facets of C^n(m): m/(m-d) * C(m-d, d) for n = 2d and
+    2 * C(m-d-1, d) for n = 2d+1."""
+    d = n // 2
+    if n % 2:
+        return 2 * comb(m - d - 1, d)
+    return m * comb(m - d, d) // (m - d)

@@ -24,6 +24,7 @@ from buchstaber.generators import (
     skeleton,
 )
 from buchstaber.invariant import XiWitness, analyze
+from oracles import cyclic_facet_count
 
 
 def test_complex_text_roundtrip():
@@ -356,10 +357,13 @@ def test_cli_gen_json_roundtrip(tmp_path):
     for spec, K in (
         (["cycle", "4"], cycle(4)),
         (["cyclic", "2", "5"], cycle(5)),
+        (["cyclic", "8", "22"], cyclic_polytope_boundary(8, 22)),
         (["simplex", "3"], simplex(3)),
     ):
         code, text = run_cli(tmp_path, "gen", *spec)
         assert code == 0 and formats.parse_complex_text(text) == K
+        if spec[0] == "cyclic":
+            assert len(K.facets) == cyclic_facet_count(*map(int, spec[1:]))
 
 
 def test_cli_gen_join_and_random(tmp_path):
@@ -525,9 +529,10 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     bad.write_text("facet 1 2\n")
     assert main(["analyze", str(bad)]) == 1
     capsys.readouterr()
-    # a wrong kind or parameter count is an input error, not a traceback
+    # a wrong kind, parameter count or size is an input error, not a traceback
     for argv in (
         ["gen", "nosuchkind", "3"],
+        ["gen", "cyclic", "3", "100"],
         ["gen", "join", "onlyone"],
         ["gen", "join"],
         ["gen", "simplex"],

@@ -1,9 +1,11 @@
 """Corpus constructors: standard complexes, Gale evenness, joins, seeded random."""
 
+import gc
 from itertools import combinations
 
 import pytest
 
+from buchstaber import generators
 from buchstaber.complexes import SimplicialComplex, face_vertices
 from buchstaber.generators import (
     Lcg,
@@ -17,6 +19,7 @@ from buchstaber.generators import (
     simplex,
     skeleton,
 )
+from oracles import cyclic_facet_count, cyclic_facets_by_subsets
 
 
 def test_simplex_and_boundary():
@@ -81,11 +84,50 @@ def test_cyclic_polytope_13_15():
     ]
 
 
-def test_cyclic_polytope_guards():
+def test_cyclic_polytope_matches_the_subset_scan(monkeypatch):
+    # the facets as built, before the constructor sorts them and drops repeats
+    monkeypatch.setattr(generators, "SimplicialComplex", lambda m, facets: facets)
+    for m in range(3, 15):
+        for n in range(2, m):
+            built = cyclic_polytope_boundary(n, m)
+            assert sorted(built) == cyclic_facets_by_subsets(n, m), (n, m)
+            assert len(built) == len(set(built)) == cyclic_facet_count(n, m), (n, m)
+    for n, m, count in ((8, 22, 3740), (10, 20, 4004), (6, 20, 800)):
+        built = cyclic_polytope_boundary(n, m)
+        assert len(built) == len(set(built)) == cyclic_facet_count(n, m) == count
+        assert {f.bit_count() for f in built} == {n}
+
+
+def test_cyclic_polytope_guards(monkeypatch):
     with pytest.raises(ValueError):
         cyclic_polytope_boundary(1, 4)
     with pytest.raises(ValueError):
         cyclic_polytope_boundary(4, 4)
+    assert cyclic_polytope_boundary(3, 64).m == 64
+
+    def build(m, facets):
+        raise AssertionError(f"facets of C^n({m}) were built")
+
+    # above the vertex limit the arguments are refused before any facet is
+    # built, not by the complex constructor afterwards
+    monkeypatch.setattr(generators, "SimplicialComplex", build)
+    for n, m in ((2, 65), (3, 100)):
+        with pytest.raises(ValueError, match=r"m=\d+ outside 1\.\.64"):
+            cyclic_polytope_boundary(n, m)
+
+
+def test_cyclic_polytope_leaves_no_cyclic_garbage():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for n, m in ((2, 5), (3, 9), (4, 12), (7, 15), (8, 22)):
+            gc.collect()
+            K = cyclic_polytope_boundary(n, m)
+            assert gc.collect() == 0, (n, m)
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(K.facets) == 3740
 
 
 def test_join_two_point_pairs():
