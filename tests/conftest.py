@@ -41,16 +41,27 @@ settings.load_profile("deterministic")
 CORPUS_PROBS = {5: (3, 5), 6: (3, 5), 7: (2, 3), 8: (7, 10)}
 
 
-def build_random_corpus(size=500):
-    corpus = []
+def random_corpus_draws():
+    """Every random_complex draw of the random corpus, in order, without end."""
     seed = 0
-    while len(corpus) < size:
+    while True:
         m = 5 + (seed % 4)
         p_num, p_den = CORPUS_PROBS[m]
         extra = 1 if seed % 3 == 0 else 0
-        K = random_complex(m, 9000 + seed, p_num, p_den, extra)
+        yield random_complex(m, 9000 + seed, p_num, p_den, extra)
         seed += 1
-        if len(K.minimal_nonsimplices()) <= 12:
+
+
+def keeps_in_corpus(K):
+    return len(K.minimal_nonsimplices()) <= 12
+
+
+def build_random_corpus(size=500):
+    corpus = []
+    draws = random_corpus_draws()
+    while len(corpus) < size:
+        K = next(draws)
+        if keeps_in_corpus(K):
             corpus.append(K)
     return corpus
 

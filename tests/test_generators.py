@@ -1,11 +1,13 @@
 """Corpus constructors: standard complexes, Gale evenness, joins, seeded random."""
 
 import gc
+import hashlib
 from itertools import combinations
 
 import pytest
 
 from buchstaber import generators
+from buchstaber.formats import complex_to_text
 from buchstaber.complexes import SimplicialComplex, face_vertices
 from buchstaber.generators import (
     Lcg,
@@ -19,7 +21,14 @@ from buchstaber.generators import (
     simplex,
     skeleton,
 )
+from conftest import keeps_in_corpus, random_corpus_draws
 from oracles import cyclic_facet_count, cyclic_facets_by_subsets
+
+# SHA-256 of the complex texts of every random corpus draw, rejected ones
+# included, then of the six seeded random members of the benchmark's
+# polytopes-wide workload: (m, p_num, p_den, glued faces, seeds).
+SEEDED_CORPORA_SHA256 = "fafe90163dc9e213ab76b58231beee6a83ed97e95c5113931ce567a22ff76948"
+WIDE_RANDOM_FAMILIES = ((14, 3, 4, 2, (14001, 14002, 14003)), (16, 4, 5, 4, (16001, 16002, 16003)))
 
 
 def test_simplex_and_boundary():
@@ -193,3 +202,19 @@ def test_random_complex_guards():
 def test_join_vertex_limit():
     with pytest.raises(ValueError):
         join(simplex(40), simplex(40))
+
+
+def test_seeded_corpora_bytes_are_pinned():
+    digest = hashlib.sha256()
+    draws = kept = 0
+    for K in random_corpus_draws():
+        digest.update(complex_to_text(K).encode())
+        draws += 1
+        kept += keeps_in_corpus(K)
+        if kept == 500:
+            break
+    for m, p_num, p_den, extra, seeds in WIDE_RANDOM_FAMILIES:
+        for seed in seeds:
+            digest.update(complex_to_text(random_complex(m, seed, p_num, p_den, extra)).encode())
+    assert draws == 511
+    assert digest.hexdigest() == SEEDED_CORPORA_SHA256
