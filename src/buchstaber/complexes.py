@@ -26,6 +26,11 @@ MAX_VERTICES = 64
 SCAN_VERTEX_LIMIT = 16
 
 
+def check_vertex_count(m: int) -> None:
+    if not 1 <= m <= MAX_VERTICES:
+        raise ValueError(f"vertex count m={m} outside 1..{MAX_VERTICES}")
+
+
 def face_mask(vertices: Iterable[int], m: int) -> int:
     """Pack 1-based vertices into a bitmask, validating the range."""
     mask = 0
@@ -177,8 +182,10 @@ class SimplicialComplex:
     Instances are immutable after construction; the face set (at
     m <= SCAN_VERTEX_LIMIT), the minimal non-face list, the incidences of
     the non-faces and of the facets, and the facet sides are each filled on
-    first use and then shared. A fill computes a pure function of the
-    facets, so objects are safe to use from concurrent workers.
+    first use and then shared. A complex built from its minimal non-faces
+    has the non-face list filled at construction, and at m <=
+    SCAN_VERTEX_LIMIT the face set too. A fill computes a pure function of
+    the facets, so objects are safe to use from concurrent workers.
     """
 
     __slots__ = (
@@ -187,8 +194,7 @@ class SimplicialComplex:
     )
 
     def __init__(self, m: int, facets: Iterable[int]):
-        if not 1 <= m <= MAX_VERTICES:
-            raise ValueError(f"vertex count m={m} outside 1..{MAX_VERTICES}")
+        check_vertex_count(m)
         self.m = m
         fm = full_mask(m)
         raw = sorted(set(facets))
@@ -211,6 +217,7 @@ class SimplicialComplex:
 
     @classmethod
     def from_min_nonsimplices(cls, m: int, nonsimplices: Iterable[Iterable[int]]) -> "SimplicialComplex":
+        check_vertex_count(m)
         masks = [face_mask(w, m) for w in nonsimplices]
         return cls.from_min_nonsimplex_masks(m, masks)
 
@@ -218,12 +225,18 @@ class SimplicialComplex:
     def from_min_nonsimplex_masks(cls, m: int, masks: Iterable[int]) -> "SimplicialComplex":
         """Reconstruct the unique complex whose minimal non-faces are given.
 
-        A subset is a face iff it contains no listed non-face, so the maximal
-        faces are exactly the complements of the minimal transversals of the
-        non-face family.
+        A subset is a face iff it contains no listed non-face. At m <=
+        SCAN_VERTEX_LIMIT the given masks are marked in a 2^m-bit int and
+        closed upward by m steps `nonfaces |= (nonfaces & LO_b) << 2^b`; the
+        faces are the complement, and the facets are the faces with no
+        one-larger face. The masks form an antichain exactly when they are
+        the minimal non-faces of that face set. Above the limit the facets
+        are the complements of the minimal transversals of the masks.
+        Either way the complex keeps the sorted masks as its
+        minimal_nonsimplices(), and at m <= SCAN_VERTEX_LIMIT the face set
+        as its face_bits().
         """
-        if not 1 <= m <= MAX_VERTICES:
-            raise ValueError(f"vertex count m={m} outside 1..{MAX_VERTICES}")
+        check_vertex_count(m)
         ms = list(masks)
         fm = full_mask(m)
         for w in ms:
@@ -231,10 +244,24 @@ class SimplicialComplex:
                 raise ValueError("minimal non-face must be nonempty")
             if w & ~fm:
                 raise ValueError("non-face references a vertex above m")
-        if not is_antichain(ms):
+        ms.sort()
+        if m <= SCAN_VERTEX_LIMIT:
+            lows = _low_masks(m)
+            faces = _faces_avoiding(ms, lows)
+            antichain = _minimal_nonfaces(faces, lows) == ms
+        else:
+            faces = None
+            antichain = is_antichain(ms)
+        if not antichain:
             raise ValueError("minimal non-faces must form an antichain")
-        facets = [fm ^ t for t in minimal_transversals(ms, m)]
-        return cls(m, facets)
+        if faces is None:
+            facets = [fm ^ t for t in minimal_transversals(ms, m)]
+        else:
+            facets = _maximal_faces(faces, lows)
+        K = cls(m, facets)
+        K._nonsimplices = tuple(ms)
+        K._face_bits = faces
+        return K
 
     # -- queries ---------------------------------------------------------
 
@@ -419,17 +446,52 @@ def _low_masks(m: int) -> tuple[int, ...]:
     return _kept_low_masks(m) if m <= SCAN_VERTEX_LIMIT else _build_low_masks(m)
 
 
+def _marked(masks: Iterable[int], m: int) -> int:
+    """The 2^m-bit int with bit sigma set for each sigma in masks."""
+    marks = bytearray(max(1, (1 << m) >> 3))
+    for f in masks:
+        marks[f >> 3] |= 1 << (f & 7)
+    return int.from_bytes(marks, "little")
+
+
+def _set_bits(x: int, size: int) -> list[int]:
+    """The set bits of x, which lies below 2^size, ascending."""
+    bits = format(x, f"0{size}b")[::-1]
+    out = []
+    sigma = bits.find("1")
+    while sigma >= 0:
+        out.append(sigma)
+        sigma = bits.find("1", sigma + 1)
+    return out
+
+
 def _face_set(facets: Iterable[int], lows: Sequence[int]) -> int:
     """The face set as one 2^m-bit int, m = len(lows): the facets marked,
     then closed downward by m steps `faces |= faces >> 2^b & LO_b` (the
     subset zeta transform)."""
-    marks = bytearray(max(1, (1 << len(lows)) >> 3))
-    for f in facets:
-        marks[f >> 3] |= 1 << (f & 7)
-    faces = int.from_bytes(marks, "little")
+    faces = _marked(facets, len(lows))
     for b, low in enumerate(lows):
         faces |= faces >> (1 << b) & low
     return faces
+
+
+def _faces_avoiding(masks: Iterable[int], lows: Sequence[int]) -> int:
+    """The face set, on m = len(lows) vertices, of the subsets containing
+    none of the masks: the masks marked, closed upward by m steps
+    `nonfaces |= (nonfaces & LO_b) << 2^b`, and complemented."""
+    nonfaces = _marked(masks, len(lows))
+    for b, low in enumerate(lows):
+        nonfaces |= (nonfaces & low) << (1 << b)
+    return ((1 << (1 << len(lows))) - 1) ^ nonfaces
+
+
+def _maximal_faces(faces: int, lows: Sequence[int]) -> list[int]:
+    """The facets, ascending, of a face set on m = len(lows) vertices: the
+    faces ANDed, per b, with whether adding b leaves the face set."""
+    top = faces
+    for b, low in enumerate(lows):
+        top &= ~(faces >> (1 << b) & low)
+    return _set_bits(top, 1 << len(lows))
 
 
 def _minimal_nonfaces(faces: int, lows: Sequence[int]) -> list[int]:
@@ -440,13 +502,7 @@ def _minimal_nonfaces(faces: int, lows: Sequence[int]) -> list[int]:
     minimal = ((1 << size) - 1) ^ faces
     for b, low in enumerate(lows):
         minimal &= faces << (1 << b) | low
-    bits = format(minimal, f"0{size}b")[::-1]
-    out = []
-    sigma = bits.find("1")
-    while sigma >= 0:
-        out.append(sigma)
-        sigma = bits.find("1", sigma + 1)
-    return out
+    return _set_bits(minimal, size)
 
 
 def minimal_nonsimplices_by_scan(K: SimplicialComplex) -> list[int]:

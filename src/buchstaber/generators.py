@@ -5,8 +5,19 @@ cycles, graphs, joins, cyclic polytope boundaries and seeded random complexes.
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 
-from .complexes import MAX_VERTICES, SimplicialComplex
+from .complexes import MAX_VERTICES, SimplicialComplex, check_vertex_count
+
+# Most facets skeleton, cyclic_polytope_boundary and join build; a larger
+# count, known in closed form beforehand, is refused before any facet is
+# built. The largest generator calls in the tests build C(20, 4) = 4 845.
+MAX_FACETS = 1 << 20
+
+
+def check_facet_count(count: int, what: str) -> None:
+    if count > MAX_FACETS:
+        raise ValueError(f"{what} has {count} facets, limit is {MAX_FACETS}")
 
 
 def simplex(n: int) -> SimplicialComplex:
@@ -30,6 +41,8 @@ def skeleton(n: int, k: int) -> SimplicialComplex:
     if not 0 <= k <= n:
         raise ValueError("skeleton needs 0 <= k <= n")
     m = n + 1
+    check_vertex_count(m)
+    check_facet_count(comb(m, k + 1), f"the {k}-skeleton of the {n}-simplex")
     facets = []
     for combo in combinations(range(m), k + 1):
         mask = 0
@@ -70,13 +83,12 @@ def cyclic_polytope_boundary(n: int, m: int) -> SimplicialComplex:
     facet is built once from its (a, b) and the t = (n-a-b)/2 dominoes
     {v, v+1} that tile its interior runs; the dominoes lie in a+2..m-b-1,
     and t of them fit there in C(m-a-b-2-t, t) ways, chosen as t slots of
-    that many. The cost follows the facet count, n = 2d giving
-    m/(m-d) * C(m-d, d) facets and n = 2d+1 giving 2 * C(m-d-1, d).
+    that many. The cost follows cyclic_facet_count(n, m).
     """
     if not 2 <= n < m:
         raise ValueError("cyclic polytope needs 2 <= n < m")
-    if m > MAX_VERTICES:
-        raise ValueError(f"vertex count m={m} outside 1..{MAX_VERTICES}")
+    check_vertex_count(m)
+    check_facet_count(cyclic_facet_count(n, m), f"C^{n}({m})")
     facets = []
     for a in range(n + 1):
         for b in range(n - a, -1, -2):
@@ -91,11 +103,21 @@ def cyclic_polytope_boundary(n: int, m: int) -> SimplicialComplex:
     return SimplicialComplex(m, facets)
 
 
+def cyclic_facet_count(n: int, m: int) -> int:
+    """The number of facets of C^n(m), 2 <= n < m: m/(m-d) * C(m-d, d)
+    for n = 2d and 2 * C(m-d-1, d) for n = 2d+1."""
+    d = n // 2
+    if n % 2:
+        return 2 * comb(m - d - 1, d)
+    return m * comb(m - d, d) // (m - d)
+
+
 def join(K1: SimplicialComplex, K2: SimplicialComplex) -> SimplicialComplex:
     """Join of two complexes; the second factor is relabeled above the first."""
     m = K1.m + K2.m
     if m > MAX_VERTICES:
         raise ValueError(f"join would need {m} vertices, limit is {MAX_VERTICES}")
+    check_facet_count(len(K1.facets) * len(K2.facets), "the join")
     facets = [f1 | (f2 << K1.m) for f1 in K1.facets for f2 in K2.facets]
     return SimplicialComplex(m, facets)
 

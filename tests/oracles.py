@@ -8,14 +8,12 @@ the reference for `xi_to_matrix`. `edge_facet_chromatic` reads a graph off
 its edge facets and colors it by `chromatic_by_subsets`, a DP over vertex
 subsets; the package reads the 1-skeleton off N(K) and colors it by
 backtracking instead. `cyclic_facets_by_subsets` tests every n-subset of [m]
-against Gale's evenness condition, and `cyclic_facet_count` gives the
-closed-form number of facets of C^n(m); the package builds those facets run
-by run instead.
+against Gale's evenness condition; the package builds those facets run by
+run instead.
 """
 
 from functools import cache
 from itertools import combinations
-from math import comb
 
 CIRCUIT_MAX_DIM = 8
 
@@ -143,11 +141,3 @@ def cyclic_facets_by_subsets(n: int, m: int) -> list[int]:
             facets.append(sum(1 << (v - 1) for v in combo))
     return sorted(facets)
 
-
-def cyclic_facet_count(n: int, m: int) -> int:
-    """The number of facets of C^n(m): m/(m-d) * C(m-d, d) for n = 2d and
-    2 * C(m-d-1, d) for n = 2d+1."""
-    d = n // 2
-    if n % 2:
-        return 2 * comb(m - d - 1, d)
-    return m * comb(m - d, d) // (m - d)

@@ -118,6 +118,43 @@ def test_from_min_nonsimplices_rejects_bad_input():
         SimplicialComplex.from_min_nonsimplices(3, [[4]])  # out of range
 
 
+@pytest.mark.parametrize("m", [5, SCAN_VERTEX_LIMIT, SCAN_VERTEX_LIMIT + 1])
+def test_nonface_build_edge_cases_on_both_sides_of_the_limit(m):
+    full = full_mask(m)
+    K = SimplicialComplex.from_min_nonsimplex_masks(m, [])
+    assert K.facets == (full,) and K.minimal_nonsimplices() == ()
+    # every vertex a ghost: only the empty face is left
+    K = SimplicialComplex.from_min_nonsimplex_masks(m, [1 << v for v in range(m)])
+    assert K.facets == (0,) and K.ghost_vertices() == list(range(1, m + 1))
+    # ghosts 1 and 3 beside the non-edge {2, 4}
+    K = SimplicialComplex.from_min_nonsimplex_masks(m, [0b1010, 0b100, 0b1])
+    assert K.facets == (full ^ 0b1101, full ^ 0b0111)
+    assert K.ghost_vertices() == [1, 3]
+    assert K.minimal_nonsimplices() == (0b1, 0b100, 0b1010)
+    for bad, message in (
+        ([0b11, 0], "minimal non-face must be nonempty"),
+        ([0b11, 1 << m], "non-face references a vertex above m"),
+        ([0b1, 0b11], "minimal non-faces must form an antichain"),  # containment
+        ([0b11, 0b110, 0b11], "minimal non-faces must form an antichain"),  # repeat
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SimplicialComplex.from_min_nonsimplex_masks(m, bad)
+
+
+@pytest.mark.parametrize("m", [SCAN_VERTEX_LIMIT + 1, 32])
+def test_nonfaces_given_above_the_limit_are_kept(m, monkeypatch):
+    def refuse(K):
+        raise AssertionError("N(K) was read back from the facets")
+
+    monkeypatch.setattr(complexes, "minimal_nonsimplices_by_transversal", refuse)
+    # the cross-polytope boundary on 2h vertices, coned at m = 17
+    h = m // 2
+    given = [0b11 << 2 * i for i in reversed(range(h))]
+    K = SimplicialComplex.from_min_nonsimplex_masks(m, given)
+    assert K.minimal_nonsimplices() == tuple(sorted(given))
+    assert K.face_bits() is None and len(K.facets) == 1 << h
+
+
 def test_minimal_nonsimplices_examples():
     assert [face_vertices(w) for w in cycle(4).minimal_nonsimplices()] == [[1, 3], [2, 4]]
     assert [face_vertices(w) for w in points(3).minimal_nonsimplices()] == [

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from buchstaber.cli import main
 from buchstaber.complexes import SimplicialComplex, face_mask
 from buchstaber.generators import (
     cycle,
+    cyclic_facet_count,
     cyclic_polytope_boundary,
     join,
     points,
@@ -24,7 +26,6 @@ from buchstaber.generators import (
     skeleton,
 )
 from buchstaber.invariant import XiWitness, analyze
-from oracles import cyclic_facet_count
 
 
 def test_complex_text_roundtrip():
@@ -155,6 +156,7 @@ def test_complex_text_parser_reports_each_error_as_the_reference():
         "m 3\nfacet 01 +3\nfacet 1_0\n",  # tokens outside the table, out of range late
         "m 65\nfacet 1 66\n",  # m out of range before the vertex
         "m 0\nfacet 1\n",
+        "m 0\nnonsimplex 1\n",
         "m 3\nfacet 4\nnonsimplex 1\n",  # mixed forms before the range
         "m 4\nnonsimplex 5\n",
         "m 2\nfacet 1 2\n",  # accepted
@@ -163,6 +165,12 @@ def test_complex_text_parser_reports_each_error_as_the_reference():
         assert parse_outcome(formats.parse_complex_text, text) == parse_outcome(
             parse_complex_text_reference, text
         ), text
+
+
+def test_a_bad_m_is_refused_alike_in_both_forms():
+    for text in ("m 0\nfacet 1\n", "m 0\nnonsimplex 1\n", "m 65\nnonsimplex 66\n"):
+        with pytest.raises(ValueError, match=r"^vertex count m=(0|65) outside 1\.\.64$"):
+            formats.parse_complex_text(text)
 
 
 def test_complex_json_roundtrip():
@@ -542,6 +550,30 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         assert main([*argv, "-o", str(tmp_path / "out.cplx")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out.cplx").exists()
+
+
+def test_cli_refuses_an_oversized_generator_at_once(tmp_path, capsys):
+    # C(41, 21), about 2.7e11 facets
+    start = time.perf_counter()
+    assert main(["gen", "skeleton", "40", "20", "-o", str(tmp_path / "out.cplx")]) == 1
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out.cplx").exists()
+
+
+CROSS_POLYTOPE_32 = "m 32\n" + "".join(f"nonsimplex {v} {v + 1}\n" for v in range(1, 32, 2))
+
+
+def test_cross_polytope_given_by_its_nonfaces_analyses_at_m_32(tmp_path):
+    # 2^16 facets; N(K) is the 16 given pairs, not read back from them
+    start = time.perf_counter()
+    obj = json.loads(formats.report_to_json(analyze(formats.parse_complex_text(CROSS_POLYTOPE_32))))
+    assert time.perf_counter() - start < 20
+    assert obj["s"]["value"] == obj["s_real"]["value"] == 16
+    path = tmp_path / "cross.cplx"
+    path.write_text(CROSS_POLYTOPE_32)
+    code, js = run_cli(tmp_path, "analyze", str(path), "--json")
+    assert code == 0 and json.loads(js) == obj
 
 
 def test_cli_negative_threads_rejected(tmp_path, capsys):

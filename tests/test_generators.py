@@ -2,7 +2,9 @@
 
 import gc
 import hashlib
+import time
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -14,6 +16,7 @@ from buchstaber.generators import (
     boundary_simplex,
     complete_graph,
     cycle,
+    cyclic_facet_count,
     cyclic_polytope_boundary,
     join,
     points,
@@ -22,7 +25,7 @@ from buchstaber.generators import (
     skeleton,
 )
 from conftest import keeps_in_corpus, random_corpus_draws
-from oracles import cyclic_facet_count, cyclic_facets_by_subsets
+from oracles import cyclic_facets_by_subsets
 
 # SHA-256 of the complex texts of every random corpus draw, rejected ones
 # included, then of the six seeded random members of the benchmark's
@@ -137,6 +140,40 @@ def test_cyclic_polytope_leaves_no_cyclic_garbage():
         if enabled:
             gc.enable()
     assert len(K.facets) == 3740
+
+
+def test_facet_count_guard_refuses_before_building(monkeypatch):
+    # the largest generator calls in the tests stay far below the limit
+    assert max(comb(16, 5), comb(20, 4), cyclic_facet_count(8, 22)) < generators.MAX_FACETS // 200
+    factor = skeleton(15, 3)  # 1 820 facets
+
+    def build(m, facets):
+        raise AssertionError(f"{len(facets)} facets on {m} vertices were built")
+
+    monkeypatch.setattr(generators, "SimplicialComplex", build)
+    start = time.perf_counter()
+    for make in (
+        lambda: skeleton(40, 20),  # about 2.7e11 facets
+        lambda: cyclic_polytope_boundary(20, 40),  # about 4.0e7
+        lambda: join(factor, factor),  # 1 820^2
+    ):
+        with pytest.raises(ValueError, match=r"facets, limit is 1048576$"):
+            make()
+    assert time.perf_counter() - start < 5
+
+
+def test_facet_count_guard_counts_exactly(monkeypatch):
+    monkeypatch.setattr(generators, "MAX_FACETS", 10)
+    assert len(skeleton(4, 1).facets) == len(skeleton(4, 2).facets) == 10
+    assert len(cyclic_polytope_boundary(2, 10).facets) == 10
+    assert len(join(points(2), points(5)).facets) == 10
+    for make in (
+        lambda: skeleton(5, 1),
+        lambda: cyclic_polytope_boundary(2, 11),
+        lambda: join(points(2), points(6)),
+    ):
+        with pytest.raises(ValueError, match="limit is 10$"):
+            make()
 
 
 def test_join_two_point_pairs():

@@ -1,8 +1,9 @@
 """Property tests: the answers do not depend on how the vertices are labelled,
 the two minimal non-face algorithms agree with the definition, the face
 table agrees with the facet scan, the minimal transversals match a
-brute-force oracle and satisfy Berge duality, the constructor keeps exactly
-the maximal facets, the matrix verifiers agree with each other, the
+brute-force oracle and satisfy Berge duality, a complex built from N(K)
+keeps the N(K), face set and facets a fresh complex reads, the constructor
+keeps exactly the maximal facets, the matrix verifiers agree with each other, the
 GF(2) verifiers that read the shared transpose agree with the per-row loops
 they replaced, the verifiers that read the facet table find the same
 failing facet as a per-facet bit test, and the xi lift agrees with an
@@ -152,6 +153,28 @@ def test_berge_duality(case):
     m, family = case
     minimal = sorted({s for s in family if not any(t != s and t & ~s == 0 for t in family)})
     assert minimal_transversals(minimal_transversals(family, m), m) == minimal
+
+
+@st.composite
+def nonface_antichains(draw):
+    """(m, antichain) on m = 1..12 vertices, or at m = 16 and 17 on either
+    side of the face-set limit: the minimal members of a random family of
+    nonempty masks, in drawn order."""
+    m = draw(st.one_of(st.integers(1, 12), st.sampled_from([16, 17])))
+    family = draw(st.lists(st.integers(1, (1 << m) - 1), max_size=10, unique=True))
+    return m, [s for s in family if not any(t != s and t & ~s == 0 for t in family)]
+
+
+@settings(max_examples=200)
+@given(nonface_antichains())
+def test_complex_built_from_nonfaces_matches_a_fresh_one(case):
+    m, masks = case
+    K = SimplicialComplex.from_min_nonsimplex_masks(m, masks)
+    full = (1 << m) - 1
+    assert list(K.facets) == sorted(full ^ t for t in minimal_transversals(masks, m))
+    fresh = SimplicialComplex(m, K.facets)
+    assert K.minimal_nonsimplices() == fresh.minimal_nonsimplices() == tuple(sorted(masks))
+    assert K.face_bits() == fresh.face_bits()
 
 
 @st.composite
