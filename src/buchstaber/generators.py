@@ -41,7 +41,6 @@ def skeleton(n: int, k: int) -> SimplicialComplex:
     if not 0 <= k <= n:
         raise ValueError("skeleton needs 0 <= k <= n")
     m = n + 1
-    check_vertex_count(m)
     check_facet_count(comb(m, k + 1), f"the {k}-skeleton of the {n}-simplex")
     facets = []
     for combo in combinations(range(m), k + 1):

@@ -552,10 +552,16 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert not (tmp_path / "out.cplx").exists()
 
 
-def test_cli_refuses_an_oversized_generator_at_once(tmp_path, capsys):
-    # C(41, 21), about 2.7e11 facets
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["skeleton", "40", "20"],  # C(41, 21), about 2.7e11 facets
+        ["cyclic", "20", "40"],  # about 4.0e7 facets
+    ],
+)
+def test_cli_refuses_an_oversized_generator_at_once(tmp_path, capsys, args):
     start = time.perf_counter()
-    assert main(["gen", "skeleton", "40", "20", "-o", str(tmp_path / "out.cplx")]) == 1
+    assert main(["gen", *args, "-o", str(tmp_path / "out.cplx")]) == 1
     assert time.perf_counter() - start < 5
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out.cplx").exists()
